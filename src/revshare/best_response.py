@@ -24,7 +24,6 @@ from .model import (
     effort_cost,
     marginal_effort_cost,
     revenue,
-    usage,
 )
 from .numeric import central_diff, expand_upper_bound, golden_section_max
 

@@ -41,7 +41,7 @@ from .montecarlo import (
     sweep,
     sweep_to_csv,
 )
-from .optimizer import optimize_alpha
+from .optimizer import MIN_GRID_STEP, optimize_alpha
 from .settlement import (
     KIND_SALE,
     KIND_SUBSCRIPTION,
@@ -165,10 +165,11 @@ def load_config(path: str) -> ExperimentConfig:
     if command in SCHEMAS and "params" in parser:
         schema = SCHEMAS[command]
         for key, raw in parser["params"].items():
-            if key in schema:
-                cfg.params[key] = _coerce(schema[key][0], raw)
-            else:
-                cfg.params[key] = raw  # caught by validate()
+            kind = schema[key][0] if key in schema else "str"  # unknown: validate()
+            try:
+                cfg.params[key] = _coerce(kind, raw)
+            except ValueError:
+                raise DomainError(f"{path}: {key} = {raw!r} is not a valid {kind}")
     elif "params" in parser:
         cfg.params = dict(parser["params"])
     return cfg
@@ -216,11 +217,15 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                    "overage_price", "reservation"):
         if nonneg in schema and val(nonneg) < 0:
             issues.append(f"{nonneg} must be >= 0")
-    for pos in ("scale", "cost_scale", "grid_step"):
+    for pos in ("scale", "cost_scale"):
         if pos in schema and val(pos) <= 0:
             issues.append(f"{pos} must be positive")
+    if "grid_step" in schema and not val("grid_step") >= MIN_GRID_STEP:
+        issues.append(f"grid_step must be >= {MIN_GRID_STEP:g}")
     if "size" in schema and val("size") < 0:
         issues.append("size must be >= 0")
+    if cfg.command == "sweep" and not val("canonical") and val("size") == 0:
+        issues.append("sweep needs a population: give --size or --canonical")
     if "draws" in schema and val("draws") < 1:
         issues.append("draws must be >= 1")
     if cfg.command == "sweep" and val("alpha_min") >= val("alpha_max"):
@@ -290,13 +295,12 @@ def _single_profile(cfg: ExperimentConfig) -> DeveloperProfile:
 
 
 def _population(cfg: ExperimentConfig):
-    if cfg.resolved("canonical") or cfg.resolved("size") == 0:
-        tech = RevenueTechnology(family="linear", scale=1.0) \
-            if cfg.resolved("canonical") else None
-        if cfg.resolved("canonical"):
-            return [DeveloperProfile(id="dev-00000", tech=tech,
-                                     cost=EffortCost(k=1.0))]
-        return [_single_profile(cfg)] if "scale" in SCHEMAS[cfg.command] else []
+    if cfg.resolved("canonical"):
+        return [DeveloperProfile(
+            id="dev-00000", tech=RevenueTechnology(family="linear", scale=1.0),
+            cost=EffortCost(k=1.0))]
+    if cfg.resolved("size") == 0:  # solve only: validate() rejects it for sweep
+        return [_single_profile(cfg)]
     spec = PopulationSpec(size=cfg.resolved("size"), seed=cfg.resolved("seed"))
     return generate_population(spec)
 

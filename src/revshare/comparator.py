@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .best_response import solve_effort, solve_effort_policy
+from .best_response import reduced_revenue, solve_effort, solve_effort_policy
 from .model import (
     CommissionPolicy,
     DeveloperProfile,
@@ -27,6 +27,7 @@ from .model import (
     effort_cost,
 )
 from .numeric import expand_upper_bound, grid_then_golden
+from .participation import entrant_accounts
 
 MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
                "marketplace", "hybrid")
@@ -53,7 +54,6 @@ class ComparisonTable:
 
 def _reduced(profile: DeveloperProfile, e: float) -> Tuple[float, float]:
     """(revenue, usage) with price optimized out where applicable."""
-    from .best_response import reduced_revenue
     r = reduced_revenue(profile.tech, e)
     q = profile.tech.usage_per_revenue * r \
         if profile.tech.usage_per_revenue is not None else e
@@ -74,10 +74,9 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
 
     if isinstance(model, RsiModel):
         br = solve_effort_policy(profile, model.policy)
-        dev = br.net_profit
-        commission = model.policy.commission(br.gross_revenue)
-        return _outcome("rsi", profile, br.effort, dev,
-                        commission - c * br.usage, upfront=0.0, capital=capital)
+        earned, cost = entrant_accounts(profile, br, model.policy, c)
+        return _outcome("rsi", profile, br.effort, br.net_profit,
+                        earned - cost, upfront=0.0, capital=capital)
 
     if isinstance(model, PayPerTokenModel):
         def obj(e):

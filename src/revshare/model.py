@@ -53,6 +53,9 @@ class RevenueTechnology:
     def __post_init__(self):
         if self.family not in REVENUE_FAMILIES:
             raise DomainError(f"unknown revenue family {self.family!r}")
+        if not all(map(math.isfinite, (self.scale, self.beta, self.demand_base,
+                                       self.demand_quality, self.demand_slope))):
+            raise DomainError("revenue technology parameters must be finite")
         if self.scale <= 0:
             raise DomainError("scale must be positive")
         if self.family == POWER_EFFORT and not (0 < self.beta <= 1):
@@ -64,8 +67,9 @@ class RevenueTechnology:
                 raise DomainError("demand_slope must be positive")
             if self.usage_per_revenue is None:
                 raise DomainError("linear_demand requires usage_per_revenue")
-        if self.usage_per_revenue is not None and self.usage_per_revenue < 0:
-            raise DomainError("usage_per_revenue must be >= 0")
+        if self.usage_per_revenue is not None and not (
+                0 <= self.usage_per_revenue < math.inf):
+            raise DomainError("usage_per_revenue must be finite and >= 0")
 
     @property
     def needs_price(self) -> bool:
@@ -87,8 +91,10 @@ class EffortCost:
     def __post_init__(self):
         if self.family not in COST_FAMILIES:
             raise DomainError(f"unknown cost family {self.family!r}")
-        if self.k <= 0:
-            raise DomainError("cost scale k must be positive")
+        if not 0 < self.k < math.inf:
+            raise DomainError("cost scale k must be positive and finite")
+        if not math.isfinite(self.exponent):
+            raise DomainError("exponent must be finite")
         if self.family == POWER_CONVEX and self.exponent < 2:
             raise DomainError("exponent must be >= 2")
 
@@ -106,8 +112,8 @@ class DeveloperProfile:
     def __post_init__(self):
         if not math.isfinite(self.reservation_profit) or self.reservation_profit < 0:
             raise DomainError("reservation_profit must be finite and >= 0")
-        if self.ad_revenue < 0:
-            raise DomainError("ad_revenue must be >= 0")
+        if not (0 <= self.ad_revenue < math.inf):
+            raise DomainError("ad_revenue must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ class PlatformParams:
     population: Tuple[DeveloperProfile, ...]
 
     def __init__(self, marginal_cost, population):
-        if marginal_cost < 0:
-            raise DomainError("marginal_cost must be >= 0")
+        if not (0 <= marginal_cost < math.inf):
+            raise DomainError("marginal_cost must be finite and >= 0")
         object.__setattr__(self, "marginal_cost", float(marginal_cost))
         object.__setattr__(self, "population", tuple(population))
 
@@ -160,7 +166,7 @@ class CommissionPolicy:
             if not bps or bps[0][0] != 0:
                 raise DomainError("degressive schedule must start at threshold 0")
             for (t1, r1), (t2, r2) in zip(bps, bps[1:]):
-                if t2 <= t1:
+                if not t2 > t1:  # also rejects NaN
                     raise DomainError(
                         f"breakpoint thresholds not strictly increasing: {t1} >= {t2}")
             for _, r in bps:
@@ -168,8 +174,8 @@ class CommissionPolicy:
                     raise DomainError("rate out of [0,1]")
         if self.ad_share is not None and not (0 <= self.ad_share <= 1):
             raise DomainError("ad_share out of [0,1]")
-        if self.activity_threshold < 0:
-            raise DomainError("activity_threshold must be >= 0")
+        if not (0 <= self.activity_threshold < math.inf):
+            raise DomainError("activity_threshold must be finite and >= 0")
 
     @staticmethod
     def flat(rate: float, ad_share: Optional[float] = None,
@@ -202,7 +208,7 @@ class CommissionPolicy:
         settlement module owns the exact integer-cent version)."""
         if gross < 0:
             raise DomainError("gross revenue must be >= 0")
-        if self.is_flat:
+        if self.rate is not None:  # flat; not is_flat, this is a hot path
             return self.rate * gross
         total = 0.0
         bps = self.breakpoints
@@ -291,10 +297,6 @@ class HybridModel:
         object.__setattr__(self, "choices", tuple(self.choices))
 
 
-BusinessModel = (RsiModel, PayPerTokenModel, SubscriptionModel,
-                 FreemiumModel, MarketplaceModel, HybridModel)
-
-
 # --- Pointwise evaluation ---
 
 def revenue(tech: RevenueTechnology, effort: float,
@@ -341,20 +343,6 @@ def marginal_effort_cost(cost: EffortCost, effort: float) -> float:
     if cost.family == QUADRATIC:
         return cost.k * effort
     return cost.k * effort ** (cost.exponent - 1)
-
-
-def marginal_revenue_effort(tech: RevenueTechnology, effort: float) -> float:
-    """dR/de for the effort families. Returns +inf at e=0 when beta < 1."""
-    if effort < 0:
-        raise DomainError("effort must be >= 0")
-    if tech.family == LINEAR_EFFORT:
-        return tech.scale
-    if tech.family == POWER_EFFORT:
-        if effort == 0:
-            return tech.scale if tech.beta == 1 else math.inf
-        return tech.scale * tech.beta * effort ** (tech.beta - 1)
-    raise DomainError("marginal_revenue_effort: use the reduced-form demand "
-                      "derivative for linear_demand")
 
 
 def max_marginal_revenue_per_request(tech: RevenueTechnology) -> float:

@@ -3,7 +3,11 @@
 Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
 numbers. Aggregates are summed in sorted-id order for bit-for-bit
-reproducibility.
+reproducibility: a sweep's platform profit at each rate is
+``participate``'s one-pass total of ``participation.entrant_accounts``
+(commission, waived below the activity threshold in request volume, plus
+ad share, minus serving cost), so it equals ``optimizer.platform_profit``
+and ``optimizer.profit_curve`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (
+    CommissionPolicy,
     DeveloperProfile,
     DomainError,
     EffortCost,
@@ -25,7 +30,7 @@ from .model import (
     QUADRATIC,
     RevenueTechnology,
 )
-from .participation import participate
+from .participation import entrant_accounts, participate
 
 log = logging.getLogger(__name__)
 
@@ -149,27 +154,23 @@ class SweepResult:
 
 
 def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
-          marginal_cost: float, seed: Optional[int] = None) -> SweepResult:
+          marginal_cost: float, seed: Optional[int] = None,
+          policy: Optional[CommissionPolicy] = None) -> SweepResult:
     """Evaluate participation, best responses and platform profit over an
-    ascending alpha grid."""
+    ascending alpha grid, one ``participate`` pass per rate. A flat
+    ``policy`` supplies the ad share and activity threshold at every rate."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     profits, counts, means, surplus = [], [], [], []
     best_a, best_pi = None, -math.inf
     for a in alpha_grid:
-        res = participate(population, a)
-        pi_platform = 0.0
-        pi_devs = 0.0
-        for dev_id in res.entrants:  # already sorted by id
-            br = res.responses[dev_id]
-            pi_platform += a * br.gross_revenue - marginal_cost * br.usage
-            pi_devs += br.net_profit
-        profits.append(pi_platform)
+        res = participate(population, a, policy, marginal_cost)
+        profits.append(res.platform_profit)
         counts.append(res.count)
-        means.append(pi_devs / res.count if res.count else 0.0)
-        surplus.append(pi_devs)
-        if pi_platform > best_pi:
-            best_a, best_pi = a, pi_platform
+        means.append(res.developer_surplus / res.count if res.count else 0.0)
+        surplus.append(res.developer_surplus)
+        if res.platform_profit > best_pi:
+            best_a, best_pi = a, res.platform_profit
     return SweepResult(alphas=tuple(alpha_grid),
                        platform_profits=tuple(profits),
                        entrant_counts=tuple(counts),
@@ -219,18 +220,16 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     if draws < 1:
         raise DomainError("draws must be >= 1")
     res = participate(population, alpha)
-    commissions = np.array([alpha * res.responses[i].gross_revenue
-                            for i in res.entrants])
-    costs = np.array([marginal_cost * res.responses[i].usage
-                      for i in res.entrants])
+    by_id = {p.id: p for p in population}
+    policy = CommissionPolicy.flat(alpha)
+    earnings, costs = np.array([
+        entrant_accounts(by_id[i], res.responses[i], policy, marginal_cost)
+        for i in res.entrants]).reshape(-1, 2).T.copy()
     total_cost = float(costs.sum())
-    deterministic = float(commissions.sum()) - total_cost
+    deterministic = float(earnings.sum()) - total_cost
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if len(commissions) == 0:
-        samples = np.zeros(draws)
-    else:
-        hits = rng.random((draws, len(commissions))) < success_prob
-        samples = hits @ commissions - total_cost
+    hits = rng.random((draws, len(earnings))) < success_prob
+    samples = hits @ earnings - total_cost
     mean = float(samples.mean())
     std = float(samples.std(ddof=0))
     p5 = float(np.percentile(samples, 5))

@@ -1,6 +1,14 @@
 """Outer Stackelberg stage: pick the commission rate maximizing platform
 profit, anticipating developer best responses and entry.
 
+Platform profit at a rate is the sum, over the developers who enter, of
+each entrant's commission (waived while the entrant's request volume is
+below the policy's ``activity_threshold``) plus ``ad_share * ad_revenue``
+minus ``marginal_cost * usage``. ``participation.entrant_accounts`` is its
+one definition, and ``participate`` adds it up in developer-id order in
+the same pass that decides entry, so every entry point here, and
+``montecarlo.sweep``, gives bit-identical profits at a given rate.
+
 Profit over alpha can jump where entrants exit, so the search is a dense
 coarse grid (global coverage) followed by shrinking-grid refinement around
 the best bracket.
@@ -12,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .best_response import BestResponse
+from .best_response import BestResponse, solve_effort
 from .model import (
     CommissionPolicy,
     DomainError,
@@ -20,8 +28,10 @@ from .model import (
     PlatformParams,
     QUADRATIC,
 )
-from .participation import participate
+from .participation import developer_profit, participate
 
+# finest outer-search grid step; a finer step would allocate ~1/step rates
+MIN_GRID_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,38 +45,15 @@ class EquilibriumReport:
     degenerate: bool = False
 
 
-def _effective_policy(policy: Optional[CommissionPolicy],
-                      alpha: Optional[float]) -> CommissionPolicy:
-    if policy is None:
-        policy = CommissionPolicy.flat(alpha if alpha is not None else 0.0)
-    if alpha is not None:
-        if not policy.is_flat:
-            raise DomainError("alpha override applies to flat policies only")
-        policy = CommissionPolicy.flat(alpha, ad_share=policy.ad_share,
-                                       activity_threshold=policy.activity_threshold)
-    return policy
-
-
 def platform_profit(params: PlatformParams,
                     policy: Optional[CommissionPolicy] = None,
                     alpha: Optional[float] = None) -> float:
-    """Total platform profit: commission plus ad share minus serving cost,
-    summed over entrants in developer-id order."""
-    pol = _effective_policy(policy, alpha)
-    result = participate(params.population, pol.rate if pol.is_flat else 0.0,
-                         policy=pol)
-    by_id = {p.id: p for p in params.population}
-    total = 0.0
-    for dev_id in result.entrants:
-        br = result.responses[dev_id]
-        profile = by_id[dev_id]
-        if br.usage < pol.activity_threshold:
-            commission = 0.0  # below activity threshold: cost absorbed
-        else:
-            commission = pol.commission(br.gross_revenue)
-        ad = (pol.ad_share or 0.0) * profile.ad_revenue
-        total += commission + ad - params.marginal_cost * br.usage
-    return total
+    """Total platform profit over the entrants at rate alpha (default: the
+    flat policy's rate, else 0), or under a degressive policy."""
+    if alpha is None and (policy is None or policy.is_flat):
+        alpha = 0.0 if policy is None else policy.rate
+    return participate(params.population, alpha, policy,
+                       params.marginal_cost).platform_profit
 
 
 def _canonical_alpha(params: PlatformParams,
@@ -92,26 +79,20 @@ def optimize_alpha(params: PlatformParams,
                    refine_tol: float = 1e-8) -> EquilibriumReport:
     """Maximize platform profit over flat commission rates in [0, 1].
 
-    Ties between equal-profit optima break toward the smallest alpha. When
-    no rate earns a positive profit the report is flagged degenerate and
-    carries the argmax anyway.
+    A flat ``policy`` supplies the ad share and activity threshold applied
+    at every rate; a degressive one is a DomainError. Ties between
+    equal-profit optima break toward the smallest alpha. When no rate earns
+    a positive profit the report is flagged degenerate and carries the
+    argmax anyway.
     """
-    if policy is not None and not policy.is_flat:
-        raise DomainError("optimize_alpha searches flat rates; evaluate "
-                          "degressive schedules with platform_profit directly")
-
-    def profit_at(a: float) -> float:
-        return platform_profit(params, policy, alpha=a)
+    if not (MIN_GRID_STEP <= grid_step <= 1):
+        raise DomainError(f"grid_step must be in [{MIN_GRID_STEP:g}, 1]")
 
     n = int(round(1.0 / grid_step))
-    grid = [i / n for i in range(n + 1)]
-    samples = []
     best_a, best_pi = 0.0, -math.inf
-    for a in grid:  # ascending, so the first max wins ties toward small alpha
-        pi = profit_at(a)
-        res = participate(params.population, a,
-                          policy=_effective_policy(policy, a))
-        samples.append((a, pi, res.count))
+    for i in range(n + 1):  # ascending, so the first max wins ties toward small alpha
+        a = i / n
+        pi = platform_profit(params, policy, alpha=a)
         if pi > best_pi:
             best_a, best_pi = a, pi
 
@@ -126,22 +107,21 @@ def optimize_alpha(params: PlatformParams,
         step = (hi - lo) / 16
         for j in range(17):
             a = lo + j * step
-            pi = profit_at(a)
+            pi = platform_profit(params, policy, alpha=a)
             if pi > pi_star or (pi == pi_star and a < alpha_star):
                 alpha_star, pi_star = a, pi
         lo = max(lo, alpha_star - step)
         hi = min(hi, alpha_star + step)
 
-    res = participate(params.population, alpha_star,
-                      policy=_effective_policy(policy, alpha_star))
+    res = participate(params.population, alpha_star, policy,
+                      params.marginal_cost)
     per_dev = tuple((i, res.responses[i]) for i in res.entrants)
     return EquilibriumReport(
         alpha_star=alpha_star,
         platform_profit=pi_star,
         n_entrants=res.count,
         per_developer=per_dev,
-        diagnostics={"grid_size": len(grid), "refine_iterations": iterations,
-                     "samples": samples},
+        diagnostics={"grid_size": n + 1, "refine_iterations": iterations},
         analytic_alpha=_canonical_alpha(params, policy),
         degenerate=pi_star <= 0.0,
     )
@@ -153,13 +133,9 @@ def profit_curve(params: PlatformParams, alpha_grid: Sequence[float],
     """(alpha, profit, entrant count) samples for plotting/export."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha_grid must be sorted ascending")
-    out = []
-    for a in alpha_grid:
-        pi = platform_profit(params, policy, alpha=a)
-        n = participate(params.population, a,
-                        policy=_effective_policy(policy, a)).count
-        out.append((a, pi, n))
-    return out
+    results = (participate(params.population, a, policy, params.marginal_cost)
+               for a in alpha_grid)
+    return [(a, r.platform_profit, r.count) for a, r in zip(alpha_grid, results)]
 
 
 def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4,
@@ -177,30 +153,16 @@ def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4
         raise DomainError("step h leaves [0,1]")
 
     def count_and_margin(a: float) -> Tuple[float, float]:
-        res = participate(params.population, a)
-        if res.count == 0:
-            return 0.0, 0.0
-        margin = sum(a * br.gross_revenue - params.marginal_cost * br.usage
-                     for br in (res.responses[i] for i in res.entrants))
-        return float(res.count), margin / res.count
+        res = participate(params.population, a,
+                          marginal_cost=params.marginal_cost)
+        n = float(res.count)
+        if reservation_cdf is not None:  # smoothed expected count
+            n = sum(reservation_cdf(developer_profit(p, solve_effort(p, a)))
+                    for p in sorted(params.population, key=lambda q: q.id))
+        return n, res.platform_profit / res.count if res.count else 0.0
 
-    def smooth_count(a: float) -> float:
-        total = 0.0
-        for p in sorted(params.population, key=lambda q: q.id):
-            res = participate([p], a)
-            pi = res.entry_profits.get(p.id)
-            if pi is None:  # non-entrant: recompute unconditional profit
-                from .best_response import solve_effort
-                pi = solve_effort(p, a).net_profit
-            total += reservation_cdf(pi)
-        return total
-
-    n_fn = smooth_count if reservation_cdf is not None else (
-        lambda a: count_and_margin(a)[0])
-    n_mid, m_mid = count_and_margin(alpha)
-    if reservation_cdf is not None:
-        n_mid = smooth_count(alpha)
-    n_prime = (n_fn(alpha + h) - n_fn(alpha - h)) / (2 * h)
-    m_prime = (count_and_margin(alpha + h)[1]
-               - count_and_margin(alpha - h)[1]) / (2 * h)
+    (n_lo, m_lo), (n_mid, m_mid), (n_hi, m_hi) = (
+        count_and_margin(a) for a in (alpha - h, alpha, alpha + h))
+    n_prime = (n_hi - n_lo) / (2 * h)
+    m_prime = (m_hi - m_lo) / (2 * h)
     return n_prime * m_mid, n_mid * m_prime

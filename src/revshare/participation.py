@@ -1,5 +1,6 @@
 """Entry decisions: which developers clear their outside option at a given
-commission rate, and the participation count N(alpha).
+commission rate, the participation count N(alpha), and the platform's
+profit from the developers who enter.
 
 Entry uses a weak inequality (profit >= reservation) so the zero-reservation
 boundary case enters.
@@ -8,7 +9,7 @@ boundary case enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .best_response import BestResponse, solve_effort, solve_effort_policy
 from .model import CommissionPolicy, DeveloperProfile, DomainError
@@ -20,6 +21,8 @@ class ParticipationResult:
     count: int
     entry_profits: Dict[str, float]
     responses: Dict[str, BestResponse]  # entrants only
+    platform_profit: float    # sum over entrants of entrant_accounts, in id order
+    developer_surplus: float  # sum of entry_profits, in id order
 
 
 def developer_profit(profile: DeveloperProfile, response: BestResponse,
@@ -32,25 +35,69 @@ def developer_profit(profile: DeveloperProfile, response: BestResponse,
     return pi
 
 
-def participate(population: Sequence[DeveloperProfile], alpha: float,
-                policy: CommissionPolicy | None = None) -> ParticipationResult:
-    """Evaluate entry for every developer at commission rate alpha (or under
-    a full policy schedule when one is given)."""
+def entrant_accounts(profile: DeveloperProfile, response: BestResponse,
+                     policy: CommissionPolicy,
+                     marginal_cost: float) -> Tuple[float, float]:
+    """(earnings, serving cost) of the platform from one entrant; their
+    difference is the entrant's platform profit, defined only here.
+
+    Earnings are the commission on gross revenue, waived while the entrant's
+    request volume is below ``policy.activity_threshold``, plus
+    ``ad_share * ad_revenue``. The serving cost is ``marginal_cost * usage``.
+    """
+    if response.usage < policy.activity_threshold:
+        commission = 0.0  # below activity threshold: cost absorbed
+    else:
+        commission = policy.commission(response.gross_revenue)
+    ad = (policy.ad_share or 0.0) * profile.ad_revenue
+    return commission + ad, marginal_cost * response.usage
+
+
+def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
+                policy: CommissionPolicy | None = None,
+                marginal_cost: float = 0.0) -> ParticipationResult:
+    """Evaluate entry for every developer at commission rate alpha and total
+    the platform's profit over the entrants, in one pass in developer-id
+    order.
+
+    A flat ``policy`` supplies the ad share and activity threshold charged
+    at rate alpha. A degressive ``policy`` is applied as is, and alpha must
+    then be None. Duplicate developer ids are a DomainError.
+    """
+    if policy is None:
+        policy = CommissionPolicy.flat(alpha)
+    elif not policy.is_flat:
+        if alpha is not None:
+            raise DomainError("a rate alpha applies to flat policies only")
+    elif policy.rate != alpha:
+        policy = CommissionPolicy.flat(alpha, policy.ad_share,
+                                       policy.activity_threshold)
     entrants: List[str] = []
     profits: Dict[str, float] = {}
     responses: Dict[str, BestResponse] = {}
+    platform = surplus = 0.0
+    last_id = None
     for profile in sorted(population, key=lambda p: p.id):
-        if policy is not None and not policy.is_flat:
+        dev_id = profile.id
+        if dev_id == last_id:
+            raise DomainError(f"duplicate developer id {dev_id!r}")
+        last_id = dev_id
+        if alpha is None:
             br = solve_effort_policy(profile, policy)
         else:
             br = solve_effort(profile, alpha)
         pi = developer_profit(profile, br, policy)
         if pi >= profile.reservation_profit:
-            entrants.append(profile.id)
-            profits[profile.id] = pi
-            responses[profile.id] = br
+            entrants.append(dev_id)
+            profits[dev_id] = pi
+            responses[dev_id] = br
+            earned, cost = entrant_accounts(profile, br, policy, marginal_cost)
+            platform += earned - cost
+            surplus += pi
     return ParticipationResult(entrants=tuple(entrants), count=len(entrants),
-                               entry_profits=profits, responses=responses)
+                               entry_profits=profits, responses=responses,
+                               platform_profit=platform,
+                               developer_surplus=surplus)
 
 
 def participation_curve(population: Sequence[DeveloperProfile],

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from revshare.cli import (
     validate,
 )
 from revshare.model import DomainError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +101,26 @@ class TestSweepCommand:
                 "--no-timestamp", "--out", str(out))
         assert out.read_text().startswith("alpha,")
 
+    def test_shipped_config_golden(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        status, _, _ = run_cli(capsys, "sweep", "--config",
+                               str(CONFIGS / "sweep.ini"), "--out", str(out))
+        assert status == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9a1bda4159248a8019c97ef15d8a0630f73bdf97de9b82ac9d2f62238e342c35")
+
+    def test_no_population_usage_error(self, capsys):
+        status, _, err = run_cli(capsys, "sweep", "--cost", "0.1")
+        assert status == 2
+        assert "--size or --canonical" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_grid_step_floor_usage_error(self, capsys, command):
+        status, _, err = run_cli(capsys, command, "--canonical",
+                                 "--grid-step", "1e-9")
+        assert status == 2
+        assert "grid_step must be >= 1e-06" in err
+
     def test_empty_grid_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical",
                                  "--alpha-min", "0.5", "--alpha-max", "0.5")
@@ -160,6 +184,15 @@ class TestConfigHandling:
         status, out, _ = run_cli(capsys, "validate", str(path))
         assert status == 1
         assert "cost must be >= 0" in out
+
+    def test_non_numeric_ini_value_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\ncommand = solve\n"
+                        "[params]\ncanonical = true\ncost = abc\n")
+        for argv in (["validate", str(path)], ["solve", "--config", str(path)]):
+            status, _, err = run_cli(capsys, *argv)
+            assert status == 2
+            assert "cost = 'abc' is not a valid float" in err
 
     def test_cli_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "exp.ini"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,22 @@ class TestEffortCost:
             RevenueTechnology(family="power", beta=1.2)
         with pytest.raises(DomainError):
             RevenueTechnology(family="nope")
+        demand = dict(family="linear_demand", usage_per_revenue=1.0)
+        for bad in (math.nan, math.inf):
+            for make in (lambda: RevenueTechnology(family="linear", scale=bad),
+                         lambda: RevenueTechnology(family="power", beta=bad),
+                         lambda: RevenueTechnology(family="linear", beta=bad),
+                         lambda: RevenueTechnology(demand_base=bad, **demand),
+                         lambda: RevenueTechnology(demand_quality=bad, **demand),
+                         lambda: RevenueTechnology(demand_slope=bad, **demand),
+                         lambda: EffortCost(k=bad),
+                         lambda: EffortCost(family="power_convex", exponent=bad),
+                         lambda: DeveloperProfile(
+                             id="d", tech=RevenueTechnology(family="linear"),
+                             cost=EffortCost(), ad_revenue=bad),
+                         lambda: PlatformParams(marginal_cost=bad, population=[])):
+                with pytest.raises(DomainError):
+                    make()
 
 
 class TestCommissionPolicy:
@@ -135,12 +153,17 @@ class TestCommissionPolicy:
             CommissionPolicy.degressive([(0.0, 0.3), (100.0, 0.2), (100.0, 0.1)])
         with pytest.raises(DomainError):
             CommissionPolicy.degressive([(10.0, 0.3)])
+        with pytest.raises(DomainError):
+            CommissionPolicy.degressive([(0.0, 0.3), (math.nan, 0.2)])
 
     def test_rate_bounds(self):
         with pytest.raises(DomainError):
             CommissionPolicy.flat(1.3)
         with pytest.raises(DomainError):
             CommissionPolicy.flat(0.2, ad_share=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                CommissionPolicy.flat(0.2, activity_threshold=bad)
 
     @given(g1=st.floats(0, 1e6), g2=st.floats(0, 1e6))
     @settings(max_examples=200)

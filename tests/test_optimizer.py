@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from revshare.model import (
     PlatformParams,
     RevenueTechnology,
 )
+from revshare.montecarlo import sweep
 from revshare.optimizer import (
     marginal_decomposition,
     optimize_alpha,
@@ -62,6 +65,26 @@ class TestPlatformProfit:
         assert with_ads - without == pytest.approx(0.2)
 
 
+class TestEntryPointsAgree:
+    def test_sweep_curve_and_profit_bit_identical(self):
+        rng = np.random.default_rng(12)
+        pop = [dataclasses.replace(p, ad_revenue=float(rng.uniform(0.0, 0.5)))
+               for p in random_profiles(30, seed=12, reservation_hi=0.3)]
+        params = PlatformParams(marginal_cost=0.15, population=pop)
+        # the threshold sits inside the usage range, so it binds for some
+        # entrants at some rates and not at others
+        policy = CommissionPolicy.flat(0.0, ad_share=0.3, activity_threshold=0.4)
+        grid = [i / 100 for i in range(101)]
+        swept = sweep(pop, grid, params.marginal_cost, policy=policy)
+        curve = profit_curve(params, grid, policy)
+        for a, from_sweep, (a_curve, from_curve, n) in zip(
+                grid, swept.platform_profits, curve):
+            assert a_curve == a
+            assert from_sweep == from_curve == platform_profit(params, policy, alpha=a)
+        assert swept.entrant_counts == tuple(n for _, _, n in curve)
+        assert len(set(swept.entrant_counts)) > 1
+
+
 class TestOptimizeAlpha:
     @pytest.mark.parametrize("c,expected", [(0.2, 0.6), (0.4, 0.7), (0.0, 0.5)])
     def test_closed_form(self, c, expected):
@@ -82,8 +105,10 @@ class TestOptimizeAlpha:
             assert a2 >= a1 - 1e-9
 
     def test_profit_dominates_samples(self):
-        report = optimize_alpha(canonical_params(0.2))
-        for _, pi, _ in report.diagnostics["samples"]:
+        params = canonical_params(0.2)
+        report = optimize_alpha(params)
+        grid = [i / 1000 for i in range(1001)]  # the search's own coarse grid
+        for _, pi, _ in profit_curve(params, grid):
             assert report.platform_profit >= pi - 1e-9
 
     def test_degenerate_market_flagged(self):

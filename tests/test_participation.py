@@ -35,6 +35,11 @@ class TestParticipate:
         assert res.count == 0
         assert res.entrants == ()
 
+    def test_duplicate_ids_rejected(self):
+        pop = [make_dev("d0", 0.0), make_dev("d1", 0.0), make_dev("d0", 0.0)]
+        with pytest.raises(DomainError, match="duplicate developer id 'd0'"):
+            participate(pop, 0.5)
+
     def test_entry_condition_bipartition(self):
         pop = random_profiles(40, seed=21, reservation_hi=0.3)
         res = participate(pop, 0.4)
