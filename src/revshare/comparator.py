@@ -27,7 +27,7 @@ from .model import (
     effort_cost,
 )
 from .numeric import expand_upper_bound, grid_then_golden
-from .participation import entrant_accounts
+from .participation import developer_profit, entrant_profit
 
 MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
                "marketplace", "hybrid")
@@ -74,9 +74,10 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
 
     if isinstance(model, RsiModel):
         br = solve_effort_policy(profile, model.policy)
-        earned, cost = entrant_accounts(profile, br, model.policy, c)
-        return _outcome("rsi", profile, br.effort, br.net_profit,
-                        earned - cost, upfront=0.0, capital=capital)
+        return _outcome("rsi", profile, br.effort,
+                        developer_profit(profile, br, model.policy),
+                        entrant_profit(profile, br, model.policy, c),
+                        upfront=0.0, capital=capital)
 
     if isinstance(model, PayPerTokenModel):
         def obj(e):

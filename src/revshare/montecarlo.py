@@ -4,10 +4,10 @@ Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
 numbers. Aggregates are summed in sorted-id order for bit-for-bit
 reproducibility: a sweep's platform profit at each rate is
-``participate``'s one-pass total of ``participation.entrant_accounts``
+``participate``'s one-pass total of ``participation.entrant_profit``
 (commission, waived below the activity threshold in request volume, plus
 ad share, minus serving cost), so it equals ``optimizer.platform_profit``
-and ``optimizer.profit_curve`` bit for bit.
+and ``optimizer.profit_curve`` under the default flat policy bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .model import (
     QUADRATIC,
     RevenueTechnology,
 )
-from .participation import entrant_accounts, participate
+from .participation import entrant_profit, participate
 
 log = logging.getLogger(__name__)
 
@@ -154,17 +154,15 @@ class SweepResult:
 
 
 def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
-          marginal_cost: float, seed: Optional[int] = None,
-          policy: Optional[CommissionPolicy] = None) -> SweepResult:
+          marginal_cost: float, seed: Optional[int] = None) -> SweepResult:
     """Evaluate participation, best responses and platform profit over an
-    ascending alpha grid, one ``participate`` pass per rate. A flat
-    ``policy`` supplies the ad share and activity threshold at every rate."""
+    ascending alpha grid, one ``participate`` pass per rate."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     profits, counts, means, surplus = [], [], [], []
     best_a, best_pi = None, -math.inf
     for a in alpha_grid:
-        res = participate(population, a, policy, marginal_cost)
+        res = participate(population, a, marginal_cost=marginal_cost)
         profits.append(res.platform_profit)
         counts.append(res.count)
         means.append(res.developer_surplus / res.count if res.count else 0.0)
@@ -221,11 +219,14 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
         raise DomainError("draws must be >= 1")
     res = participate(population, alpha)
     by_id = {p.id: p for p in population}
-    policy = CommissionPolicy.flat(alpha)
-    earnings, costs = np.array([
-        entrant_accounts(by_id[i], res.responses[i], policy, marginal_cost)
-        for i in res.entrants]).reshape(-1, 2).T.copy()
-    total_cost = float(costs.sum())
+    entrants = [(by_id[i], res.responses[i]) for i in res.entrants]
+    # earnings are the profit with no serving cost; the serving cost is
+    # minus the profit at a zero rate with no ad share
+    policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)
+    earnings = np.array([entrant_profit(p, br, policy, 0.0)
+                         for p, br in entrants])
+    total_cost = -float(np.array([entrant_profit(p, br, free, marginal_cost)
+                                  for p, br in entrants]).sum())
     deterministic = float(earnings.sum()) - total_cost
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = rng.random((draws, len(earnings))) < success_prob

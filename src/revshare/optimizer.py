@@ -4,10 +4,11 @@ profit, anticipating developer best responses and entry.
 Platform profit at a rate is the sum, over the developers who enter, of
 each entrant's commission (waived while the entrant's request volume is
 below the policy's ``activity_threshold``) plus ``ad_share * ad_revenue``
-minus ``marginal_cost * usage``. ``participation.entrant_accounts`` is its
+minus ``marginal_cost * usage``. ``participation.entrant_profit`` is its
 one definition, and ``participate`` adds it up in developer-id order in
 the same pass that decides entry, so every entry point here, and
-``montecarlo.sweep``, gives bit-identical profits at a given rate.
+``montecarlo.sweep`` under a plain flat rate, gives bit-identical profits
+at a given rate.
 
 Profit over alpha can jump where entrants exit, so the search is a dense
 coarse grid (global coverage) followed by shrinking-grid refinement around

@@ -9,6 +9,7 @@ boundary case enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .best_response import BestResponse, solve_effort, solve_effort_policy
@@ -21,7 +22,7 @@ class ParticipationResult:
     count: int
     entry_profits: Dict[str, float]
     responses: Dict[str, BestResponse]  # entrants only
-    platform_profit: float    # sum over entrants of entrant_accounts, in id order
+    platform_profit: float    # sum over entrants of entrant_profit, in id order
     developer_surplus: float  # sum of entry_profits, in id order
 
 
@@ -35,22 +36,18 @@ def developer_profit(profile: DeveloperProfile, response: BestResponse,
     return pi
 
 
-def entrant_accounts(profile: DeveloperProfile, response: BestResponse,
-                     policy: CommissionPolicy,
-                     marginal_cost: float) -> Tuple[float, float]:
-    """(earnings, serving cost) of the platform from one entrant; their
-    difference is the entrant's platform profit, defined only here.
-
-    Earnings are the commission on gross revenue, waived while the entrant's
-    request volume is below ``policy.activity_threshold``, plus
-    ``ad_share * ad_revenue``. The serving cost is ``marginal_cost * usage``.
-    """
+def entrant_profit(profile: DeveloperProfile, response: BestResponse,
+                   policy: CommissionPolicy, marginal_cost: float) -> float:
+    """The platform's profit from one entrant, defined only here: the
+    commission on gross revenue, waived while the entrant's request volume
+    is below ``policy.activity_threshold``, plus ``ad_share * ad_revenue``,
+    minus the serving cost ``marginal_cost * usage``."""
     if response.usage < policy.activity_threshold:
         commission = 0.0  # below activity threshold: cost absorbed
     else:
         commission = policy.commission(response.gross_revenue)
-    ad = (policy.ad_share or 0.0) * profile.ad_revenue
-    return commission + ad, marginal_cost * response.usage
+    return (commission + (policy.ad_share or 0.0) * profile.ad_revenue
+            - marginal_cost * response.usage)
 
 
 def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
@@ -77,7 +74,7 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
     responses: Dict[str, BestResponse] = {}
     platform = surplus = 0.0
     last_id = None
-    for profile in sorted(population, key=lambda p: p.id):
+    for profile in sorted(population, key=attrgetter("id")):
         dev_id = profile.id
         if dev_id == last_id:
             raise DomainError(f"duplicate developer id {dev_id!r}")
@@ -91,8 +88,7 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
             entrants.append(dev_id)
             profits[dev_id] = pi
             responses[dev_id] = br
-            earned, cost = entrant_accounts(profile, br, policy, marginal_cost)
-            platform += earned - cost
+            platform += entrant_profit(profile, br, policy, marginal_cost)
             surplus += pi
     return ParticipationResult(entrants=tuple(entrants), count=len(entrants),
                                entry_profits=profits, responses=responses,

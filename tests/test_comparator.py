@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from revshare.model import (
     SubscriptionModel,
 )
 from revshare.montecarlo import PopulationSpec, generate_population
+from revshare.participation import participate
 
 from conftest import random_profiles
 
@@ -26,6 +28,19 @@ class TestEvaluateModel:
         assert out.developer_profit == pytest.approx(0.08, abs=1e-12)
         assert out.platform_profit == pytest.approx(0.16, abs=1e-12)
         assert out.upfront_cost == 0.0
+
+    def test_rsi_row_matches_participate_with_ad_revenue(self, canonical_profile):
+        # the retained ad revenue (0.8) alone clears the reservation profit
+        profile = dataclasses.replace(canonical_profile, ad_revenue=1.0,
+                                      reservation_profit=0.5)
+        policy = CommissionPolicy.flat(0.6, ad_share=0.2)
+        out = evaluate_model(profile, RsiModel(policy=policy), platform_cost=0.2)
+        res = participate([profile], 0.6, policy, marginal_cost=0.2)
+        assert out.entered and res.count == 1
+        assert out.developer_profit == res.entry_profits[profile.id]
+        assert out.developer_profit == pytest.approx(0.88, abs=1e-12)
+        assert out.platform_profit == res.platform_profit
+        assert out.platform_profit == pytest.approx(0.36, abs=1e-12)
 
     def test_free_subscription_is_undistorted(self, canonical_profile):
         out = evaluate_model(canonical_profile, SubscriptionModel(fee=0.0),

@@ -66,23 +66,35 @@ class TestPlatformProfit:
 
 
 class TestEntryPointsAgree:
-    def test_sweep_curve_and_profit_bit_identical(self):
+    @staticmethod
+    def ad_params():
         rng = np.random.default_rng(12)
         pop = [dataclasses.replace(p, ad_revenue=float(rng.uniform(0.0, 0.5)))
                for p in random_profiles(30, seed=12, reservation_hi=0.3)]
-        params = PlatformParams(marginal_cost=0.15, population=pop)
+        return PlatformParams(marginal_cost=0.15, population=pop)
+
+    GRID = [i / 100 for i in range(101)]
+
+    def test_sweep_curve_and_profit_bit_identical(self):
+        params = self.ad_params()
+        swept = sweep(params.population, self.GRID, params.marginal_cost)
+        curve = profit_curve(params, self.GRID)
+        for a, from_sweep, (a_curve, from_curve, n) in zip(
+                self.GRID, swept.platform_profits, curve):
+            assert a_curve == a
+            assert from_sweep == from_curve == platform_profit(params, alpha=a)
+        assert swept.entrant_counts == tuple(n for _, _, n in curve)
+        assert len(set(swept.entrant_counts)) > 1
+
+    def test_curve_and_profit_bit_identical_under_policy(self):
+        params = self.ad_params()
         # the threshold sits inside the usage range, so it binds for some
         # entrants at some rates and not at others
         policy = CommissionPolicy.flat(0.0, ad_share=0.3, activity_threshold=0.4)
-        grid = [i / 100 for i in range(101)]
-        swept = sweep(pop, grid, params.marginal_cost, policy=policy)
-        curve = profit_curve(params, grid, policy)
-        for a, from_sweep, (a_curve, from_curve, n) in zip(
-                grid, swept.platform_profits, curve):
-            assert a_curve == a
-            assert from_sweep == from_curve == platform_profit(params, policy, alpha=a)
-        assert swept.entrant_counts == tuple(n for _, _, n in curve)
-        assert len(set(swept.entrant_counts)) > 1
+        curve = profit_curve(params, self.GRID, policy)
+        for a, (_, from_curve, _) in zip(self.GRID, curve):
+            assert from_curve == platform_profit(params, policy, alpha=a)
+        assert curve != profit_curve(params, self.GRID)
 
 
 class TestOptimizeAlpha:
