@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .model import (
     CommissionPolicy,
@@ -71,11 +71,25 @@ def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
     return PriceSolution(price=p, revenue=intercept ** 2 / (4 * tech.demand_slope))
 
 
+def reduced(tech: RevenueTechnology,
+            effort: float) -> Tuple[Optional[float], float, float]:
+    """(price, gross revenue, usage) at a given effort with the price
+    optimized out. The one statement of reduced revenue and of the usage
+    rule: requests are ``usage_per_revenue * R`` when that is set, else the
+    effort itself."""
+    if tech.family == LINEAR_DEMAND:
+        sol = solve_price(tech, effort)
+        price, gross = sol.price, sol.revenue
+    else:
+        price, gross = None, revenue(tech, effort)
+    if tech.usage_per_revenue is not None:
+        return price, gross, tech.usage_per_revenue * gross
+    return price, gross, effort
+
+
 def reduced_revenue(tech: RevenueTechnology, effort: float) -> float:
     """Revenue as a function of effort alone, price already optimized out."""
-    if tech.family == LINEAR_DEMAND:
-        return solve_price(tech, effort).revenue
-    return revenue(tech, effort)
+    return reduced(tech, effort)[1]
 
 
 def _reduced_marginal_revenue(tech: RevenueTechnology, effort: float) -> float:
@@ -148,16 +162,7 @@ def _effort_upper_bound(profile: DeveloperProfile) -> float:
 
 def _package(profile: DeveloperProfile, alpha: float, e: float,
              method: str) -> BestResponse:
-    tech = profile.tech
-    if tech.family == LINEAR_DEMAND:
-        sol = solve_price(tech, e)
-        price, gross = sol.price, sol.revenue
-    else:
-        price, gross = None, revenue(tech, e)
-    if tech.usage_per_revenue is not None:
-        q = tech.usage_per_revenue * gross
-    else:
-        q = e
+    price, gross, q = reduced(profile.tech, e)
     profit = (1.0 - alpha) * gross - effort_cost(profile.cost, e)
     residual = foc_residual(profile, alpha, e) if e > 0 else 0.0
     return BestResponse(effort=e, price=price, gross_revenue=gross, usage=q,
@@ -173,10 +178,10 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
     if retained == 0:
         return _package(profile, alpha, 0.0, ANALYTIC)
 
-    # corner: retained marginal revenue at 0 already below marginal cost
+    # corner: retained marginal revenue at 0 already at or below the
+    # marginal cost there, which is 0 for every cost family (exponent >= 2)
     mr0 = _reduced_marginal_revenue(profile.tech, 0.0)
-    mc0 = marginal_effort_cost(profile.cost, 0.0)
-    if not math.isinf(mr0) and retained * mr0 <= mc0:
+    if not math.isinf(mr0) and retained * mr0 <= 0.0:
         return _package(profile, alpha, 0.0,
                         NUMERIC if force_numeric else ANALYTIC)
 

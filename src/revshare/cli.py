@@ -35,6 +35,7 @@ from .model import (
     SubscriptionModel,
 )
 from .montecarlo import (
+    MAX_POOL_CELLS,
     PopulationSpec,
     generate_population,
     risk_pooling_report,
@@ -228,6 +229,11 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         issues.append("sweep needs a population: give --size or --canonical")
     if "draws" in schema and val("draws") < 1:
         issues.append("draws must be >= 1")
+    if cfg.command == "pool":
+        if val("size") < 1:
+            issues.append("pool needs size >= 1")
+        if val("size") * val("draws") > MAX_POOL_CELLS:
+            issues.append(f"draws x size must be <= {MAX_POOL_CELLS}")
     if cfg.command == "sweep" and val("alpha_min") >= val("alpha_max"):
         issues.append("empty sweep grid: alpha_min >= alpha_max")
     if cfg.command == "scenario" and val("number") not in (1, 2, 3):
@@ -239,11 +245,7 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             issues.append(f"ledger file not found: {val('ledger')}")
         if val("degressive"):
             try:
-                bps = _parse_degressive(val("degressive"))
-                for (t1, _), (t2, _) in zip(bps, bps[1:]):
-                    if t2 <= t1:
-                        issues.append(
-                            f"degressive breakpoints out of order: {t1} before {t2}")
+                CommissionPolicy.degressive(_parse_degressive(val("degressive")))
             except DomainError as exc:
                 issues.append(str(exc))
     if cfg.output:

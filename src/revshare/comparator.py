@@ -1,6 +1,20 @@
 """Side-by-side payoff comparison of platform business models, with the
 developer re-optimizing effort under each fee structure.
 
+Each model is a fee point (m, t, Q, F): commission m on app revenue R,
+price t per request above a free quota Q, lump fee F. The developer
+maximizes (1-m)*R - t*max(0, q-Q) - phi(e) - F, pays the upfront cost
+t*max(0, q-Q) + F, and the platform earns m*R + upfront - c*q.
+
+  model          m           t              Q           F     generation
+  pay_per_token  0           token_price    0           0     1 pay-per-use
+  subscription   0           0              0           fee   2 diversification
+  freemium       0           overage_price  free_quota  0     2 diversification
+  marketplace    commission  token_price    0           0     3 multi-layer, paid inference
+  rsi            rate        0              0           0     3 revenue sharing as infrastructure
+
+The rsi row also carries a degressive schedule, an ad share and an activity
+threshold, so it is scored by ``participation.entrant_profit`` instead.
 Capital feasibility is the operational reading of "low capital": a model
 whose upfront/period cost exceeds the developer's capital cannot be entered
 before revenue realizes. Revenue sharing carries no upfront cost, so it is
@@ -10,10 +24,10 @@ always capital-feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from .best_response import reduced_revenue, solve_effort, solve_effort_policy
+from .best_response import reduced, solve_effort, solve_effort_policy
 from .model import (
     CommissionPolicy,
     DeveloperProfile,
@@ -25,6 +39,7 @@ from .model import (
     RsiModel,
     SubscriptionModel,
     effort_cost,
+    require_finite_nonneg,
 )
 from .numeric import expand_upper_bound, grid_then_golden
 from .participation import developer_profit, entrant_profit
@@ -52,98 +67,64 @@ class ComparisonTable:
     preferred_by_platform: Optional[str]
 
 
-def _reduced(profile: DeveloperProfile, e: float) -> Tuple[float, float]:
-    """(revenue, usage) with price optimized out where applicable."""
-    r = reduced_revenue(profile.tech, e)
-    q = profile.tech.usage_per_revenue * r \
-        if profile.tech.usage_per_revenue is not None else e
-    return r, q
-
-
-def _maximize(profile: DeveloperProfile, objective) -> float:
-    hi = expand_upper_bound(objective, start=1.0, cap=1e6)
-    e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
-    return 0.0 if objective(0.0) >= objective(e) else e
+def fee_schedule(model) -> Tuple[float, float, float, float]:
+    """A non-RSI business model as the fee point (m, t, Q, F): commission m
+    on app revenue, price t per request above a free quota Q, lump fee F."""
+    if isinstance(model, PayPerTokenModel):
+        return 0.0, model.token_price, 0.0, 0.0
+    if isinstance(model, SubscriptionModel):
+        return 0.0, 0.0, 0.0, model.fee
+    if isinstance(model, FreemiumModel):
+        return 0.0, model.overage_price, model.free_quota, 0.0
+    if isinstance(model, MarketplaceModel):
+        return model.commission, model.token_price, 0.0, 0.0
+    raise DomainError(f"unknown business model {model!r}")
 
 
 def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
                    capital: float = math.inf) -> ModelOutcome:
     """Developer and platform payoffs under one business model, with the
     developer's effort re-optimized for that model's fee structure."""
-    c = platform_cost
+    require_finite_nonneg("platform_cost", platform_cost)
+    if math.isnan(capital):
+        raise DomainError("capital must not be NaN")
+    if isinstance(model, HybridModel):
+        best = max((evaluate_model(profile, member, platform_cost, capital)
+                    for member in model.choices), key=_dev_key)
+        return replace(best, model="hybrid")
 
+    c = platform_cost
     if isinstance(model, RsiModel):
         br = solve_effort_policy(profile, model.policy)
-        return _outcome("rsi", profile, br.effort,
-                        developer_profit(profile, br, model.policy),
-                        entrant_profit(profile, br, model.policy, c),
-                        upfront=0.0, capital=capital)
+        e, r, q = br.effort, br.gross_revenue, br.usage
+        dev = developer_profit(profile, br, model.policy)
+        platform = entrant_profit(profile, br, model.policy, c)
+        upfront = 0.0
+    else:
+        m, t, quota, lump = fee_schedule(model)
+        tech, cost = profile.tech, profile.cost
 
-    if isinstance(model, PayPerTokenModel):
-        def obj(e):
-            r, q = _reduced(profile, e)
-            return r - model.token_price * q - effort_cost(profile.cost, e)
-        e = _maximize(profile, obj)
-        r, q = _reduced(profile, e)
-        return _outcome("pay_per_token", profile, e, obj(e),
-                        (model.token_price - c) * q,
-                        upfront=model.token_price * q, capital=capital)
+        def objective(e):
+            _, r, q = reduced(tech, e)
+            return ((1.0 - m) * r - t * (q - quota if q > quota else 0.0)
+                    - effort_cost(cost, e) - lump)
 
-    if isinstance(model, SubscriptionModel):
-        br = solve_effort(profile, 0.0)  # undistorted: fee is lump-sum
-        dev = br.net_profit - model.fee
-        return _outcome("subscription", profile, br.effort, dev,
-                        model.fee - c * br.usage,
-                        upfront=model.fee, capital=capital)
-
-    if isinstance(model, FreemiumModel):
-        def fee(q):
-            return model.overage_price * max(0.0, q - model.free_quota)
-
-        def obj(e):
-            r, q = _reduced(profile, e)
-            return r - fee(q) - effort_cost(profile.cost, e)
-        e = _maximize(profile, obj)
-        r, q = _reduced(profile, e)
-        return _outcome("freemium", profile, e, obj(e), fee(q) - c * q,
-                        upfront=fee(q), capital=capital)
-
-    if isinstance(model, MarketplaceModel):
-        def obj(e):
-            r, q = _reduced(profile, e)
-            return ((1.0 - model.commission) * r - model.token_price * q
-                    - effort_cost(profile.cost, e))
-        e = _maximize(profile, obj)
-        r, q = _reduced(profile, e)
-        return _outcome("marketplace", profile, e, obj(e),
-                        model.commission * r + (model.token_price - c) * q,
-                        upfront=model.token_price * q, capital=capital)
-
-    if isinstance(model, HybridModel):
-        best = None
-        for member in model.choices:
-            out = evaluate_model(profile, member, platform_cost, capital)
-            if best is None or _dev_key(out) > _dev_key(best):
-                best = out
-        return ModelOutcome(model="hybrid",
-                            developer_profit=best.developer_profit,
-                            platform_profit=best.platform_profit,
-                            effort=best.effort, usage=best.usage,
-                            gross_revenue=best.gross_revenue,
-                            upfront_cost=best.upfront_cost,
-                            entered=best.entered)
-
-    raise DomainError(f"unknown business model {model!r}")
-
-
-def _outcome(tag: str, profile: DeveloperProfile, e: float, dev: float,
-             plat: float, upfront: float, capital: float) -> ModelOutcome:
-    r, q = _reduced(profile, e)
+        if t == 0.0:  # no per-request charge: the RSI problem at rate m
+            e = solve_effort(profile, m).effort
+        else:
+            hi = expand_upper_bound(objective, start=1.0, cap=1e6)
+            e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+            if objective(0.0) >= objective(e):
+                e = 0.0  # minimal-effort tie-break
+        _, r, q = reduced(tech, e)
+        dev = objective(e)
+        upfront = t * (q - quota if q > quota else 0.0) + lump
+        platform = m * r + upfront - c * q
     feasible = upfront <= capital + 1e-9  # absorb numeric-optimizer noise
-    entered = feasible and dev >= profile.reservation_profit
-    return ModelOutcome(model=tag, developer_profit=dev, platform_profit=plat,
-                        effort=e, usage=q, gross_revenue=r,
-                        upfront_cost=upfront, entered=entered)
+    return ModelOutcome(model=model.tag, developer_profit=dev,
+                        platform_profit=platform, effort=e, usage=q,
+                        gross_revenue=r, upfront_cost=upfront,
+                        entered=feasible and dev >= profile.reservation_profit)
 
 
 def _dev_key(out: ModelOutcome):

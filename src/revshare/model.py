@@ -28,6 +28,12 @@ class DomainError(ValueError):
     """Raised when an argument is outside a function's mathematical domain."""
 
 
+def require_finite_nonneg(name: str, value: float) -> None:
+    """DomainError unless 0 <= value < inf; NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class RevenueTechnology:
     """How a developer's effort (and optionally a posted price) turns into
@@ -67,9 +73,8 @@ class RevenueTechnology:
                 raise DomainError("demand_slope must be positive")
             if self.usage_per_revenue is None:
                 raise DomainError("linear_demand requires usage_per_revenue")
-        if self.usage_per_revenue is not None and not (
-                0 <= self.usage_per_revenue < math.inf):
-            raise DomainError("usage_per_revenue must be finite and >= 0")
+        if self.usage_per_revenue is not None:
+            require_finite_nonneg("usage_per_revenue", self.usage_per_revenue)
 
     @property
     def needs_price(self) -> bool:
@@ -112,8 +117,7 @@ class DeveloperProfile:
     def __post_init__(self):
         if not math.isfinite(self.reservation_profit) or self.reservation_profit < 0:
             raise DomainError("reservation_profit must be finite and >= 0")
-        if not (0 <= self.ad_revenue < math.inf):
-            raise DomainError("ad_revenue must be finite and >= 0")
+        require_finite_nonneg("ad_revenue", self.ad_revenue)
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,7 @@ class PlatformParams:
     population: Tuple[DeveloperProfile, ...]
 
     def __init__(self, marginal_cost, population):
-        if not (0 <= marginal_cost < math.inf):
-            raise DomainError("marginal_cost must be finite and >= 0")
+        require_finite_nonneg("marginal_cost", marginal_cost)
         object.__setattr__(self, "marginal_cost", float(marginal_cost))
         object.__setattr__(self, "population", tuple(population))
 
@@ -168,14 +171,13 @@ class CommissionPolicy:
             for (t1, r1), (t2, r2) in zip(bps, bps[1:]):
                 if not t2 > t1:  # also rejects NaN
                     raise DomainError(
-                        f"breakpoint thresholds not strictly increasing: {t1} >= {t2}")
+                        f"degressive breakpoints out of order: {t1} before {t2}")
             for _, r in bps:
                 if not (0 <= r <= 1):
                     raise DomainError("rate out of [0,1]")
         if self.ad_share is not None and not (0 <= self.ad_share <= 1):
             raise DomainError("ad_share out of [0,1]")
-        if not (0 <= self.activity_threshold < math.inf):
-            raise DomainError("activity_threshold must be finite and >= 0")
+        require_finite_nonneg("activity_threshold", self.activity_threshold)
 
     @staticmethod
     def flat(rate: float, ad_share: Optional[float] = None,
@@ -244,8 +246,7 @@ class PayPerTokenModel:
     token_price: float = 0.0
 
     def __post_init__(self):
-        if self.token_price < 0:
-            raise DomainError("token_price must be >= 0")
+        require_finite_nonneg("token_price", self.token_price)
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,7 @@ class SubscriptionModel:
     fee: float = 0.0
 
     def __post_init__(self):
-        if self.fee < 0:
-            raise DomainError("fee must be >= 0")
+        require_finite_nonneg("fee", self.fee)
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,8 @@ class FreemiumModel:
     overage_price: float = 0.0
 
     def __post_init__(self):
-        if self.free_quota < 0 or self.overage_price < 0:
-            raise DomainError("freemium parameters must be >= 0")
+        require_finite_nonneg("free_quota", self.free_quota)
+        require_finite_nonneg("overage_price", self.overage_price)
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,7 @@ class MarketplaceModel:
     def __post_init__(self):
         if not (0 <= self.commission <= 1):
             raise DomainError("marketplace commission out of [0,1]")
-        if self.token_price < 0:
-            raise DomainError("token_price must be >= 0")
+        require_finite_nonneg("token_price", self.token_price)
 
 
 @dataclass(frozen=True)

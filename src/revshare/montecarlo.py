@@ -29,10 +29,15 @@ from .model import (
     POWER_EFFORT,
     QUADRATIC,
     RevenueTechnology,
+    require_finite_nonneg,
 )
 from .participation import entrant_profit, participate
 
 log = logging.getLogger(__name__)
+
+# draws x developers above which risk_pooling_report refuses to allocate
+# its hit matrix (about 9 bytes a cell, so about 90 MB)
+MAX_POOL_CELLS = 10_000_000
 
 UNIFORM = "uniform"
 LOGNORMAL = "lognormal"
@@ -159,6 +164,7 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     ascending alpha grid, one ``participate`` pass per rate."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
+    require_finite_nonneg("marginal_cost", marginal_cost)
     profits, counts, means, surplus = [], [], [], []
     best_a, best_pi = None, -math.inf
     for a in alpha_grid:
@@ -217,6 +223,9 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
         raise DomainError("success_prob out of [0,1]")
     if draws < 1:
         raise DomainError("draws must be >= 1")
+    if draws * len(population) > MAX_POOL_CELLS:
+        raise DomainError(f"draws x population size must be <= {MAX_POOL_CELLS}")
+    require_finite_nonneg("marginal_cost", marginal_cost)
     res = participate(population, alpha)
     by_id = {p.id: p for p in population}
     entrants = [(by_id[i], res.responses[i]) for i in res.entrants]

@@ -102,12 +102,19 @@ class TestSweepCommand:
         assert out.read_text().startswith("alpha,")
 
     def test_shipped_config_golden(self, capsys, tmp_path):
-        out = tmp_path / "sweep.csv"
-        status, _, _ = run_cli(capsys, "sweep", "--config",
-                               str(CONFIGS / "sweep.ini"), "--out", str(out))
-        assert status == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "9a1bda4159248a8019c97ef15d8a0630f73bdf97de9b82ac9d2f62238e342c35")
+        golden = {
+            "sweep": "9a1bda4159248a8019c97ef15d8a0630f73bdf97de9b82ac9d2f62238e342c35",
+            "compare": "81fba893f345c22732fdad649ad645d18e0850b7871ec3df874698816f7ad19a",
+            "pool": "47e107ac90597aecf5dea5cbb353be2867f191d4e6a70d0ef8dbfbcdb5f930ad",
+            "solve": "40cccfd5b2611bd0ebcc8b6cafae8345f54a95c2625af6b5ba95562c20a8591a",
+        }
+        for command, digest in golden.items():
+            out = tmp_path / f"{command}.out"
+            status, _, _ = run_cli(capsys, command, "--config",
+                                   str(CONFIGS / f"{command}.ini"),
+                                   "--out", str(out))
+            assert status == 0, command
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
     def test_no_population_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--cost", "0.1")
@@ -120,6 +127,12 @@ class TestSweepCommand:
                                  "--grid-step", "1e-9")
         assert status == 2
         assert "grid_step must be >= 1e-06" in err
+
+    def test_nan_cost_domain_error(self, capsys):
+        status, _, err = run_cli(capsys, "sweep", "--canonical", "--cost", "nan")
+        assert status == 1
+        assert json.loads(err) == {
+            "error": "marginal_cost must be finite and >= 0", "module": "sweep"}
 
     def test_empty_grid_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical",
@@ -135,6 +148,30 @@ class TestCompareAndPool:
         assert status == 0
         assert "developer_prefers=rsi" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--cost", "nan"), ("--token-price", "nan"),
+        ("--subscription-fee", "inf"), ("--capital", "nan")])
+    def test_compare_non_finite_fee_domain_error(self, capsys, flag, value):
+        status, _, err = run_cli(capsys, "compare", flag, value)
+        assert status == 1
+        assert json.loads(err)["module"] == "compare"
+
+    def test_pool_nan_cost_domain_error(self, capsys):
+        status, out, err = run_cli(capsys, "pool", "--size", "10", "--draws",
+                                   "200", "--cost", "nan")
+        assert status == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "marginal_cost must be finite and >= 0", "module": "pool"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--size", "0"], "pool needs size >= 1"),
+        (["--size", "10000", "--draws", "1000000"],
+         "draws x size must be <= 10000000")])
+    def test_pool_size_usage_error(self, capsys, argv, message):
+        status, _, err = run_cli(capsys, "pool", *argv)
+        assert status == 2
+        assert message in err
+
     def test_pool_summary(self, capsys):
         status, out, _ = run_cli(capsys, "pool", "--size", "10", "--draws",
                                  "200", "--seed", "1")
@@ -149,7 +186,7 @@ class TestConfigHandling:
         issues = validate(cfg)
         assert any("out of [0,1]" in i for i in issues)
 
-    def test_validate_degressive_order(self, tmp_path):
+    def test_validate_degressive_order(self, capsys, tmp_path):
         ledger = tmp_path / "l.csv"
         ledger.write_text("app_id,period,kind,amount_cents\na,p,sale,1\n")
         cfg = ExperimentConfig(
@@ -157,6 +194,14 @@ class TestConfigHandling:
             params={"ledger": str(ledger), "degressive": "0:0.3,100:0.2,50:0.1"})
         issues = validate(cfg)
         assert any("out of order" in i and "100" in i for i in issues)
+        cfg.params["degressive"] = "10:0.3,100:0.2"
+        assert validate(cfg) == ["degressive schedule must start at threshold 0"]
+        path = tmp_path / "settle.ini"
+        path.write_text("[experiment]\ncommand = settle\n[params]\n"
+                        f"ledger = {ledger}\ndegressive = 10:0.3,100:0.2\n")
+        status, _, err = run_cli(capsys, "settle", "--config", str(path))
+        assert status == 2
+        assert "must start at threshold 0" in err
 
     def test_valid_config_no_diagnostics(self):
         cfg = ExperimentConfig(command="solve",

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revshare.comparator import capital_frontier, compare_models, evaluate_model
 from revshare.model import (
     CommissionPolicy,
+    DeveloperProfile,
+    EffortCost,
     FreemiumModel,
     HybridModel,
     MarketplaceModel,
     PayPerTokenModel,
+    RevenueTechnology,
     RsiModel,
     SubscriptionModel,
+    effort_cost,
 )
 from revshare.montecarlo import PopulationSpec, generate_population
 from revshare.participation import participate
@@ -106,9 +111,46 @@ class TestEvaluateModel:
                 assert abs(grad) <= 1e-4
 
 
+fees = st.floats(0.0, 2.0)
+fee_models = st.one_of(
+    st.builds(lambda r: RsiModel(policy=CommissionPolicy.flat(r)),
+              st.floats(0.0, 1.0)),
+    st.builds(PayPerTokenModel, token_price=fees),
+    st.builds(SubscriptionModel, fee=fees),
+    st.builds(FreemiumModel, free_quota=fees, overage_price=fees),
+    st.builds(MarketplaceModel, commission=st.floats(0.0, 1.0),
+              token_price=fees),
+)
+
+
+class TestAccountingIdentity:
+    @given(model=fee_models, family=st.sampled_from(["linear", "power"]),
+           cost_family=st.sampled_from(["quadratic", "power_convex"]),
+           scale=st.floats(0.1, 3.0), beta=st.floats(0.3, 1.0),
+           k=st.floats(0.2, 3.0), exponent=st.floats(2.0, 4.0),
+           per_revenue=st.one_of(st.none(), st.floats(0.0, 3.0)),
+           c=st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_fees_are_transfers(self, model, family, cost_family, scale,
+                                beta, k, exponent, per_revenue, c):
+        """Fees move money between the two sides and nothing else: the
+        joint payoff is gross revenue less effort and serving cost."""
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology(family=family, scale=scale,
+                                           beta=beta if family == "power" else 1.0,
+                                           usage_per_revenue=per_revenue),
+            cost=EffortCost(family=cost_family, k=k, exponent=exponent))
+        out = evaluate_model(profile, model, platform_cost=c)
+        phi = effort_cost(profile.cost, out.effort)
+        joint = out.gross_revenue - phi - c * out.usage
+        size = max(1.0, out.gross_revenue, phi, c * out.usage)
+        assert abs(out.developer_profit + out.platform_profit - joint) <= 1e-9 * size
+        assert out.upfront_cost >= 0.0
+
+
 def evaluate_objective(profile, model, e):
     """Developer objective for each model, written independently."""
-    from revshare.model import effort_cost, revenue
+    from revshare.model import revenue
     r = revenue(profile.tech, e)
     q = e
     phi = effort_cost(profile.cost, e)

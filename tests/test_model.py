@@ -3,15 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revshare.comparator import evaluate_model
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
     EffortCost,
+    FreemiumModel,
     HybridModel,
+    MarketplaceModel,
     PayPerTokenModel,
     PlatformParams,
     RevenueTechnology,
+    SubscriptionModel,
     effort_cost,
     revenue,
     usage,
@@ -193,9 +197,25 @@ class TestMarketDegeneracy:
 
 
 class TestBusinessModelValidation:
-    def test_negative_fees_rejected(self):
+    def test_negative_fees_rejected(self, canonical_profile):
         with pytest.raises(DomainError):
             PayPerTokenModel(token_price=-1.0)
+        fee_models = (
+            lambda v: PayPerTokenModel(token_price=v),
+            lambda v: SubscriptionModel(fee=v),
+            lambda v: FreemiumModel(free_quota=v),
+            lambda v: FreemiumModel(overage_price=v),
+            lambda v: MarketplaceModel(commission=v),
+            lambda v: MarketplaceModel(token_price=v),
+        )
+        for bad in (math.nan, math.inf):
+            for make in fee_models:
+                with pytest.raises(DomainError):
+                    make(bad)
+        ppt = PayPerTokenModel(token_price=0.1)
+        for cost, capital in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)):
+            with pytest.raises(DomainError):
+                evaluate_model(canonical_profile, ppt, cost, capital)
 
     def test_hybrid_requires_choices(self):
         with pytest.raises(DomainError):

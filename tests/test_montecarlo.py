@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from revshare.model import DomainError
 from revshare.montecarlo import (
+    MAX_POOL_CELLS,
     Distribution,
     PopulationSpec,
     generate_population,
@@ -102,6 +104,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep([canonical_profile], [0.5, 0.1], 0.2)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -0.1])
+    def test_bad_marginal_cost_rejected(self, canonical_profile, cost):
+        with pytest.raises(DomainError, match="marginal_cost"):
+            sweep([canonical_profile], [0.0, 0.5], cost)
+
     def test_csv_stable(self, canonical_profile):
         grid = [i / 10 for i in range(11)]
         r1 = sweep([canonical_profile], grid, 0.2)
@@ -143,6 +150,21 @@ class TestRiskPooling:
         r_large = risk_pooling_report(large, 0.5, 0.0, success_prob=0.5,
                                       draws=10000, seed=2)
         assert r_large.coefficient_of_variation < r_small.coefficient_of_variation
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -0.1])
+    def test_bad_marginal_cost_rejected(self, canonical_profile, cost):
+        with pytest.raises(DomainError, match="marginal_cost"):
+            risk_pooling_report([canonical_profile], 0.5, cost,
+                                success_prob=0.5, draws=10, seed=1)
+
+    def test_cell_bound_checked_before_allocating(self, canonical_profile):
+        # 11 x 1e6 cells would be about 100 MB; rejected before any draw
+        pop = [dataclasses.replace(canonical_profile, id=f"d{i}")
+               for i in range(11)]
+        assert len(pop) * 1_000_000 > MAX_POOL_CELLS
+        with pytest.raises(DomainError, match="draws x population size"):
+            risk_pooling_report(pop, 0.5, 0.1, success_prob=0.5,
+                                draws=1_000_000, seed=1)
 
     def test_reproducible(self, canonical_profile):
         kwargs = dict(alpha=0.5, marginal_cost=0.1, success_prob=0.5,
