@@ -464,8 +464,9 @@ def _run_pool(cfg: ExperimentConfig) -> str:
             "population_size": report.population_size,
         }
         _write_atomic(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    cv = report.coefficient_of_variation
     return (f"mean={report.mean_profit:.6f} p5={report.p5_profit:.6f} "
-            f"cv={report.coefficient_of_variation:.6f}")
+            f"cv={'none' if cv is None else f'{cv:.6f}'}")
 
 
 RUNNERS = {

@@ -88,6 +88,8 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
     require_finite_nonneg("platform_cost", platform_cost)
     if math.isnan(capital):
         raise DomainError("capital must not be NaN")
+    if capital < 0:
+        raise DomainError("capital must be >= 0")
     if isinstance(model, HybridModel):
         best = max((evaluate_model(profile, member, platform_cost, capital)
                     for member in model.choices), key=_dev_key)

@@ -204,10 +204,13 @@ def sweep_to_csv(result: SweepResult, timestamp: Optional[str] = None) -> str:
 
 @dataclass(frozen=True)
 class RiskPoolingReport:
+    """``coefficient_of_variation`` is std / |mean|, and None (JSON null)
+    when the mean profit is 0, e.g. when no developer enters."""
+
     mean_profit: float
     std_profit: float
     p5_profit: float
-    coefficient_of_variation: float
+    coefficient_of_variation: Optional[float]
     deterministic_profit: float
     draws: int
     population_size: int
@@ -243,7 +246,7 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     mean = float(samples.mean())
     std = float(samples.std(ddof=0))
     p5 = float(np.percentile(samples, 5))
-    cv = std / abs(mean) if mean != 0 else math.inf
+    cv = std / abs(mean) if mean != 0 else None
     return RiskPoolingReport(mean_profit=mean, std_profit=std, p5_profit=p5,
                              coefficient_of_variation=cv,
                              deterministic_profit=deterministic,

@@ -4,14 +4,20 @@ All arithmetic is on integer cents with Decimal for the single rounding
 point: commission is rounded half-up on the period aggregate (never per
 transaction), and the remainder goes to the developer, so
 commission + payout == gross holds exactly for every statement.
+
+A policy's ``activity_threshold`` counts the period's premium transactions
+here: with fewer of them the whole commission is waived, and a count equal
+to the threshold is charged. The solver reads the same field as one
+developer's request volume (``participation.entrant_profit``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, ROUND_HALF_UP
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import CommissionPolicy, DomainError
 
@@ -21,7 +27,7 @@ KIND_AD = "ad"
 KINDS = (KIND_SALE, KIND_SUBSCRIPTION, KIND_AD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     app_id: str
     period: str
@@ -49,16 +55,9 @@ class SettlementStatement:
     free_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "app_id": self.app_id,
-            "period": self.period,
-            "gross_cents": self.gross_cents,
-            "commission_cents": self.commission_cents,
-            "payout_cents": self.payout_cents,
-            "effective_rate": self.effective_rate,
-            "per_kind_cents": dict(sorted(self.per_kind_cents.items())),
-            "free_count": self.free_count,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["per_kind_cents"] = dict(sorted(self.per_kind_cents.items()))
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -80,10 +79,6 @@ class SettlementStatement:
         return SettlementStatement.from_dict(json.loads(s))
 
 
-def _rate_decimal(rate: float) -> Decimal:
-    return Decimal(repr(rate))
-
-
 def _round_half_up(x: Decimal) -> int:
     return int(x.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
@@ -91,66 +86,60 @@ def _round_half_up(x: Decimal) -> int:
 def _schedule_commission_cents(policy: CommissionPolicy, gross_cents: int) -> int:
     """Commission on app revenue, rounded half-up once on the period total."""
     if policy.is_flat:
-        return _round_half_up(_rate_decimal(policy.rate) * gross_cents)
-    total = Decimal(0)
+        return _round_half_up(Decimal(repr(policy.rate)) * gross_cents)
     bps = policy.breakpoints
-    for i, (threshold, rate) in enumerate(bps):
-        t_cents = _round_half_up(Decimal(repr(threshold)) * 100)
-        upper_cents = (_round_half_up(Decimal(repr(bps[i + 1][0])) * 100)
-                       if i + 1 < len(bps) else None)
-        top = gross_cents if upper_cents is None else min(gross_cents, upper_cents)
-        band = top - t_cents
-        if band <= 0:
-            break
-        total += _rate_decimal(rate) * band
+    edges = [_round_half_up(Decimal(repr(threshold)) * 100) for threshold, _ in bps]
+    total = Decimal(0)
+    for (_, rate), lo, hi in zip(bps, edges, edges[1:] + [gross_cents]):
+        band = min(gross_cents, hi) - lo
+        if band > 0:  # thresholds under a cent apart leave an empty band
+            total += Decimal(repr(rate)) * band
     return _round_half_up(total)
 
 
-def _check_same_app(transactions: Sequence[Transaction]) -> Tuple[str, str]:
-    apps = {t.app_id for t in transactions}
+def _build_statement(transactions: Iterable[Transaction],
+                     policy: CommissionPolicy,
+                     premium_flags: Optional[Sequence[bool]] = None
+                     ) -> SettlementStatement:
+    """One pass over (transaction, premium flag); without flags every
+    transaction is premium, i.e. commission-bearing."""
+    flags = repeat(True) if premium_flags is None else premium_flags
+    apps, periods, per_kind = set(), set(), {}
+    app_gross = ad_gross = premium = 0
+    for t, flag in zip(transactions, flags):
+        apps.add(t.app_id)
+        periods.add(t.period)
+        per_kind[t.kind] = per_kind.get(t.kind, 0) + t.amount_cents
+        if flag:
+            premium += 1
+            if t.kind == KIND_AD:
+                ad_gross += t.amount_cents
+            else:
+                app_gross += t.amount_cents
     if len(apps) > 1:
         raise DomainError(f"mixed app ids in one settlement: {sorted(apps)}")
-    periods = {t.period for t in transactions}
     if len(periods) > 1:
         raise DomainError(f"mixed periods in one settlement: {sorted(periods)}")
-    app = apps.pop() if apps else ""
-    period = periods.pop() if periods else ""
-    return app, period
-
-
-def _build_statement(transactions: Sequence[Transaction],
-                     policy: CommissionPolicy,
-                     commissionable: Sequence[Transaction],
-                     free_count: int = 0) -> SettlementStatement:
-    app, period = _check_same_app(transactions)
-    gross = sum(t.amount_cents for t in transactions)
-    per_kind: Dict[str, int] = {}
-    for t in transactions:
-        per_kind[t.kind] = per_kind.get(t.kind, 0) + t.amount_cents
-
-    app_gross = sum(t.amount_cents for t in commissionable if t.kind != KIND_AD)
-    ad_gross = sum(t.amount_cents for t in commissionable if t.kind == KIND_AD)
-
-    if len(commissionable) < policy.activity_threshold:
+    if premium < policy.activity_threshold:
         commission = 0
     else:
         commission = _schedule_commission_cents(policy, app_gross)
         if ad_gross:
             ad_rate = policy.ad_share if policy.ad_share is not None else 0.0
-            commission += _round_half_up(_rate_decimal(ad_rate) * ad_gross)
+            commission += _round_half_up(Decimal(repr(ad_rate)) * ad_gross)
+    gross = sum(per_kind.values())
+    free_count = 0 if premium_flags is None else len(premium_flags) - premium
+    return SettlementStatement(
+        app_id=apps.pop() if apps else "", period=periods.pop() if periods else "",
+        gross_cents=gross, commission_cents=commission, payout_cents=gross - commission,
+        effective_rate=commission / gross if gross else 0.0,
+        per_kind_cents=per_kind, free_count=free_count)
 
-    payout = gross - commission
-    rate = commission / gross if gross else 0.0
-    return SettlementStatement(app_id=app, period=period, gross_cents=gross,
-                               commission_cents=commission, payout_cents=payout,
-                               effective_rate=rate, per_kind_cents=per_kind,
-                               free_count=free_count)
 
-
-def settle(transactions: Sequence[Transaction],
+def settle(transactions: Iterable[Transaction],
            policy: CommissionPolicy) -> SettlementStatement:
     """Settle one app's period ledger under a commission policy."""
-    return _build_statement(list(transactions), policy, list(transactions))
+    return _build_statement(transactions, policy)
 
 
 def settle_freemium(transactions: Sequence[Transaction],
@@ -161,9 +150,7 @@ def settle_freemium(transactions: Sequence[Transaction],
     txs = list(transactions)
     if len(txs) != len(premium_flags):
         raise DomainError("premium_flags must align with transactions")
-    premium = [t for t, flag in zip(txs, premium_flags) if flag]
-    free_count = len(txs) - len(premium)
-    return _build_statement(txs, policy, premium, free_count=free_count)
+    return _build_statement(txs, policy, premium_flags)
 
 
 def format_cents(cents: int) -> str:
@@ -179,24 +166,36 @@ LEDGER_FIELDS = ("app_id", "period", "kind", "amount_cents")
 
 def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
     """Parse a CSV ledger (app_id,period,kind,amount_cents[,premium]).
-    Returns transactions plus per-row premium flags (default True)."""
+    Returns transactions plus per-row premium flags (default True). Columns
+    may come in any order and blank lines are skipped; a row whose cell
+    count differs from the header's is rejected. Equal app ids, periods and
+    kinds share one string object."""
     import csv
-    reader = csv.DictReader(lines)
-    missing = [f for f in LEDGER_FIELDS if f not in (reader.fieldnames or [])]
+    rows = csv.reader(lines)
+    header = next(rows, [])
+    column = {name: i for i, name in enumerate(header)}
+    missing = [f for f in LEDGER_FIELDS if f not in column]
     if missing:
         raise DomainError(f"ledger missing columns: {missing}")
+    app, period, kind, amount = (column[f] for f in LEDGER_FIELDS)
+    premium = column.get("premium")
+    shared: Dict[str, str] = {}
     txs, flags = [], []
-    for i, row in enumerate(reader, start=2):
+    for line, row in enumerate(filter(None, rows), start=2):
+        if len(row) != len(header):
+            raise DomainError(
+                f"line {line}: {len(row)} cells, the header has {len(header)}")
         try:
-            amount = int(row["amount_cents"])
+            cents = int(row[amount])
         except ValueError:
             raise DomainError(
-                f"line {i}: amount_cents {row['amount_cents']!r} is not an integer")
-        txs.append(Transaction(app_id=row["app_id"], period=row["period"],
-                               kind=row["kind"], amount_cents=amount))
-        flags.append(str(row.get("premium", "1")).strip().lower()
-                     not in ("0", "false", "no"))
-    return txs, flags
+                f"line {line}: amount_cents {row[amount]!r} is not an integer")
+        a, p, k = row[app], row[period], row[kind]
+        txs.append(Transaction(shared.setdefault(a, a), shared.setdefault(p, p),
+                               shared.setdefault(k, k), cents))
+        if premium is not None:
+            flags.append(row[premium].strip().lower() not in ("0", "false", "no"))
+    return txs, flags if premium is not None else [True] * len(txs)
 
 
 def read_ledger(path) -> Tuple[List[Transaction], List[bool]]:

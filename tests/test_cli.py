@@ -64,6 +64,14 @@ class TestSettleCommand:
         assert stmt["commission_cents"] == 3000
         assert stmt["payout_cents"] == 6999
 
+    def test_short_row_domain_error(self, capsys, tmp_path):
+        ledger = tmp_path / "short.csv"
+        ledger.write_text("app_id,period,kind,amount_cents\na,p,sale\n")
+        status, out, err = run_cli(capsys, "settle", "--ledger", str(ledger))
+        assert status == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "line 2: 3 cells, the header has 4", "module": "settle"}
+
     def test_missing_ledger_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "settle", "--ledger", "/nope.csv")
         assert status == 2
@@ -101,12 +109,15 @@ class TestSweepCommand:
                 "--no-timestamp", "--out", str(out))
         assert out.read_text().startswith("alpha,")
 
-    def test_shipped_config_golden(self, capsys, tmp_path):
+    def test_shipped_config_golden(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(CONFIGS.parent)  # settle.ini's ledger path is relative
         golden = {
             "sweep": "9a1bda4159248a8019c97ef15d8a0630f73bdf97de9b82ac9d2f62238e342c35",
             "compare": "81fba893f345c22732fdad649ad645d18e0850b7871ec3df874698816f7ad19a",
             "pool": "47e107ac90597aecf5dea5cbb353be2867f191d4e6a70d0ef8dbfbcdb5f930ad",
             "solve": "40cccfd5b2611bd0ebcc8b6cafae8345f54a95c2625af6b5ba95562c20a8591a",
+            "settle": "de4600fb1e2c0b636ecb5943750b81b03632622dd6324d8ee9192bd2d0cd7c94",
+            "scenario": "a5d471660a003bced1fc5d2e1600b33d92f99db06917869ec9bdfceccdc5bf68",
         }
         for command, digest in golden.items():
             out = tmp_path / f"{command}.out"
@@ -155,6 +166,26 @@ class TestCompareAndPool:
         status, _, err = run_cli(capsys, "compare", flag, value)
         assert status == 1
         assert json.loads(err)["module"] == "compare"
+
+    def test_compare_negative_capital_domain_error(self, capsys):
+        status, out, err = run_cli(capsys, "compare", "--capital", "-1")
+        assert status == 1 and out == ""
+        assert json.loads(err) == {"error": "capital must be >= 0",
+                                   "module": "compare"}
+
+    def test_pool_without_entrants_writes_strict_json(self, capsys, tmp_path):
+        out_path = tmp_path / "p.json"
+        status, out, _ = run_cli(capsys, "pool", "--alpha", "1.0", "--size", "10",
+                                 "--draws", "100", "--out", str(out_path))
+        assert status == 0
+        assert "cv=none" in out
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out_path.read_text(), parse_constant=reject)
+        assert payload["mean_profit"] == 0.0
+        assert payload["coefficient_of_variation"] is None
 
     def test_pool_nan_cost_domain_error(self, capsys):
         status, out, err = run_cli(capsys, "pool", "--size", "10", "--draws",

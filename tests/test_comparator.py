@@ -9,6 +9,7 @@ from revshare.comparator import capital_frontier, compare_models, evaluate_model
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
+    DomainError,
     EffortCost,
     FreemiumModel,
     HybridModel,
@@ -46,6 +47,14 @@ class TestEvaluateModel:
         assert out.developer_profit == pytest.approx(0.88, abs=1e-12)
         assert out.platform_profit == res.platform_profit
         assert out.platform_profit == pytest.approx(0.36, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [RSI60, PayPerTokenModel(token_price=0.2),
+                                       HybridModel(choices=(RSI60,))])
+    def test_negative_capital_rejected(self, canonical_profile, model):
+        for capital in (-1.0, -1e-12, -math.inf):
+            with pytest.raises(DomainError, match="capital must be >= 0"):
+                evaluate_model(canonical_profile, model, 0.1, capital)
+        assert evaluate_model(canonical_profile, model, 0.1, math.inf).entered
 
     def test_free_subscription_is_undistorted(self, canonical_profile):
         out = evaluate_model(canonical_profile, SubscriptionModel(fee=0.0),

@@ -166,6 +166,13 @@ class TestRiskPooling:
             risk_pooling_report(pop, 0.5, 0.1, success_prob=0.5,
                                 draws=1_000_000, seed=1)
 
+    def test_no_entrants_has_no_coefficient_of_variation(self, canonical_profile):
+        # at alpha = 1 nobody enters: the mean is 0 and std / |mean| is undefined
+        report = risk_pooling_report([canonical_profile], 1.0, 0.1,
+                                     success_prob=0.5, draws=10, seed=1)
+        assert report.mean_profit == 0.0
+        assert report.coefficient_of_variation is None
+
     def test_reproducible(self, canonical_profile):
         kwargs = dict(alpha=0.5, marginal_cost=0.1, success_prob=0.5,
                       draws=1000, seed=3)

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,14 @@ class TestDegressive:
         stmt = settle([tx(15000)], self.POLICY)
         assert stmt.commission_cents == 4000
 
+    def test_sub_cent_band_does_not_stop_later_bands(self):
+        # 1.001 and 1.004 both round to a 100-cent edge: the empty band
+        # between them is skipped, not taken as the end of the schedule
+        policy = CommissionPolicy.degressive(
+            [(0.0, 0.30), (1.001, 0.20), (1.004, 0.10)])
+        stmt = settle([tx(1000)], policy)
+        assert stmt.commission_cents == 30 + 90
+
     def test_period_reset_not_additive(self):
         # settling a doubled ledger is NOT double the commission: the second
         # half rides the cheaper band
@@ -117,6 +127,25 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             Transaction(app_id="a", period="p", kind="tip", amount_cents=1)
+
+
+class TestActivityThreshold:
+    """The threshold counts premium transactions in the period."""
+
+    POLICY = CommissionPolicy.flat(0.25, activity_threshold=3)
+
+    def test_count_equal_to_threshold_is_charged(self):
+        txs = [tx(400) for _ in range(4)]
+        stmt = settle_freemium(txs, self.POLICY, [True, True, True, False])
+        assert stmt.commission_cents == 300  # 25% of the premium 1200
+        assert settle(txs[:3], self.POLICY).commission_cents == 300
+
+    def test_one_fewer_is_waived(self):
+        txs = [tx(400) for _ in range(4)]
+        stmt = settle_freemium(txs, self.POLICY, [True, True, False, False])
+        assert stmt.commission_cents == 0
+        assert stmt.payout_cents == stmt.gross_cents == 1600
+        assert settle(txs[:2], self.POLICY).commission_cents == 0
 
 
 class TestAdRevenue:
@@ -194,8 +223,103 @@ class TestLedgerParsing:
         with pytest.raises(DomainError):
             parse_ledger(["app_id,period,kind", "a,p,sale"])
 
+    @pytest.mark.parametrize("row,cells", [("a,p,sale", 3), ("a,p,sale,5,1", 5)])
+    def test_row_width_differs_from_header(self, row, cells):
+        with pytest.raises(DomainError) as err:
+            parse_ledger(["app_id,period,kind,amount_cents",
+                          "a,p,sale,7", "", row])
+        assert str(err.value) == f"line 3: {cells} cells, the header has 4"
+
     def test_bad_amount(self):
         with pytest.raises(DomainError) as err:
             parse_ledger(["app_id,period,kind,amount_cents",
                           "a,p,sale,12.5"])
         assert "line 2" in str(err.value)
+
+
+def _half_up(x: Fraction) -> int:
+    return math.floor(x + Fraction(1, 2))
+
+
+def reference_statement(rows, policy):
+    """Plain integer sums over (kind, cents, premium) rows, commission
+    rounded half-up once per total with exact fractions."""
+    premium = [(kind, cents) for kind, cents, flag in rows if flag]
+    app_gross = sum(cents for kind, cents in premium if kind != "ad")
+    ad_gross = sum(cents for kind, cents in premium if kind == "ad")
+    if len(premium) < policy.activity_threshold:
+        commission = 0
+    elif policy.is_flat:
+        commission = _half_up(Fraction(repr(policy.rate)) * app_gross)
+    else:
+        edges = [_half_up(Fraction(repr(t)) * 100) for t, _ in policy.breakpoints]
+        commission = _half_up(sum(
+            (Fraction(repr(rate)) * max(0, min(app_gross, hi) - lo)
+             for (_, rate), lo, hi in zip(policy.breakpoints, edges,
+                                          edges[1:] + [math.inf])),
+            Fraction(0)))
+    if len(premium) >= policy.activity_threshold:
+        commission += _half_up(Fraction(repr(policy.ad_share or 0.0)) * ad_gross)
+    per_kind = {}
+    for kind, cents, _ in rows:
+        per_kind[kind] = per_kind.get(kind, 0) + cents
+    gross = sum(per_kind.values())
+    return {"app_id": "app-1" if rows else "", "period": "2025-01" if rows else "",
+            "gross_cents": gross, "commission_cents": commission,
+            "payout_cents": gross - commission,
+            "effective_rate": commission / gross if gross else 0.0,
+            "per_kind_cents": dict(sorted(per_kind.items())),
+            "free_count": len(rows) - len(premium)}
+
+
+RATE = st.floats(0.0, 1.0)
+POLICIES = st.one_of(
+    st.builds(CommissionPolicy.flat, RATE,
+              ad_share=st.none() | RATE,
+              activity_threshold=st.integers(0, 30)),
+    st.builds(lambda thresholds, rates, ad_share, threshold:
+              CommissionPolicy.degressive(
+                  zip([0.0] + sorted(thresholds), rates),
+                  ad_share=ad_share, activity_threshold=threshold),
+              st.lists(st.floats(0.001, 1e6), unique=True, max_size=3),
+              st.lists(RATE, min_size=4, max_size=4),
+              st.none() | RATE, st.integers(0, 30)))
+TRUE_CELLS = ("1", "yes", "true", "x", " Y ")
+FALSE_CELLS = ("0", "no", "false", " FALSE ", "No")
+
+
+@st.composite
+def ledgers(draw):
+    """(lines, rows): a one-app CSV ledger in a random column order, with or
+    without a premium column and with blank lines, plus its
+    (kind, cents, premium) rows."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(["sale", "subscription", "ad"]),
+                                   st.integers(0, 10**9), st.booleans()),
+                         max_size=40))
+    with_premium = draw(st.booleans())
+    if not with_premium:
+        rows = [(kind, cents, True) for kind, cents, _ in rows]
+    columns = draw(st.permutations(
+        ["app_id", "period", "kind", "amount_cents"]
+        + (["premium"] if with_premium else [])))
+    lines = [",".join(columns)]
+    for kind, cents, flag in rows:
+        cells = {"app_id": "app-1", "period": "2025-01", "kind": kind,
+                 "amount_cents": str(cents)}
+        if with_premium:
+            cells["premium"] = draw(st.sampled_from(TRUE_CELLS if flag
+                                                    else FALSE_CELLS))
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join(cells[c] for c in columns))
+    return lines, rows
+
+
+class TestLedgerProperty:
+    @given(ledger=ledgers(), policy=POLICIES)
+    @settings(max_examples=300, deadline=None)
+    def test_parsed_ledger_matches_integer_reference(self, ledger, policy):
+        lines, rows = ledger
+        txs, flags = parse_ledger(lines)
+        stmt = settle_freemium(txs, policy, flags)
+        assert stmt.to_dict() == reference_statement(rows, policy)
+        assert stmt.commission_cents + stmt.payout_cents == stmt.gross_cents
