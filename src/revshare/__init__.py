@@ -36,7 +36,8 @@ from .best_response import (
     solve_effort_policy,
     solve_price,
 )
-from .participation import ParticipationResult, participate, participation_curve
+from .participation import (ParticipationResult, SweepResult, participate,
+                            participation_curve, sweep)
 from .optimizer import (
     EquilibriumReport,
     marginal_decomposition,
@@ -60,8 +61,6 @@ from .settlement import (
 from .montecarlo import (
     Distribution,
     PopulationSpec,
-    SweepResult,
     generate_population,
     risk_pooling_report,
-    sweep,
 )

@@ -36,13 +36,14 @@ from .model import (
 )
 from .montecarlo import (
     MAX_POOL_CELLS,
+    MAX_POPULATION,
     PopulationSpec,
     generate_population,
     risk_pooling_report,
-    sweep,
     sweep_to_csv,
 )
 from .optimizer import MIN_GRID_STEP, optimize_alpha
+from .participation import rate_grid, sweep
 from .settlement import (
     KIND_SALE,
     KIND_SUBSCRIPTION,
@@ -209,7 +210,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     def val(name):
         return cfg.resolved(name)
 
-    for rate_key in ("rate", "alpha", "success_prob", "marketplace_commission"):
+    for rate_key in ("rate", "alpha", "alpha_min", "alpha_max", "success_prob",
+                     "marketplace_commission"):
         if rate_key in schema and not (0 <= val(rate_key) <= 1):
             issues.append(f"{rate_key} out of [0,1]: {val(rate_key)}")
     if "ad_share" in schema and val("ad_share") >= 0 and val("ad_share") > 1:
@@ -223,8 +225,10 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             issues.append(f"{pos} must be positive")
     if "grid_step" in schema and not val("grid_step") >= MIN_GRID_STEP:
         issues.append(f"grid_step must be >= {MIN_GRID_STEP:g}")
-    if "size" in schema and val("size") < 0:
-        issues.append("size must be >= 0")
+    if "size" in schema and not 0 <= val("size") <= MAX_POPULATION:
+        issues.append(f"size must be in [0, {MAX_POPULATION}]")
+    if "seed" in schema and val("seed") < 0:
+        issues.append("seed must be >= 0")
     if cfg.command == "sweep" and not val("canonical") and val("size") == 0:
         issues.append("sweep needs a population: give --size or --canonical")
     if "draws" in schema and val("draws") < 1:
@@ -341,16 +345,9 @@ def _run_solve(cfg: ExperimentConfig) -> str:
 
 def _run_sweep(cfg: ExperimentConfig) -> str:
     population = _population(cfg)
-    step = cfg.resolved("grid_step")
-    lo, hi = cfg.resolved("alpha_min"), cfg.resolved("alpha_max")
-    if hi <= lo:
-        raise DomainError("empty sweep grid: alpha_min >= alpha_max")
-    n = int(round((hi - lo) / step))
-    if n < 1:
-        raise DomainError("empty sweep grid: step larger than range")
-    grid = [lo + i * (hi - lo) / n for i in range(n + 1)]
-    result = sweep(population, grid, cfg.resolved("cost"),
-                   seed=cfg.resolved("seed"))
+    grid = rate_grid(cfg.resolved("alpha_min"), cfg.resolved("alpha_max"),
+                     cfg.resolved("grid_step"))
+    result = sweep(population, grid, cfg.resolved("cost"))
     stamp = None if cfg.no_timestamp else \
         datetime.now(timezone.utc).isoformat()
     if cfg.output:
@@ -416,8 +413,6 @@ def _statement_summary(stmt) -> str:
 
 def _run_scenario(cfg: ExperimentConfig) -> str:
     number = cfg.resolved("number")
-    if number not in (1, 2, 3):
-        raise DomainError("scenario number must be 1, 2 or 3")
     policy = CommissionPolicy.flat(cfg.resolved("rate"))
     txs, flags = _scenario_ledger(number)
     stmt = settle_freemium(txs, policy, flags) if number == 3 \
@@ -428,10 +423,7 @@ def _run_scenario(cfg: ExperimentConfig) -> str:
 
 
 def _run_settle(cfg: ExperimentConfig) -> str:
-    path = cfg.resolved("ledger")
-    if not path:
-        raise DomainError("settle requires --ledger")
-    txs, flags = read_ledger(path)
+    txs, flags = read_ledger(cfg.resolved("ledger"))
     ad_share = cfg.resolved("ad_share")
     kwargs = {"ad_share": ad_share if ad_share >= 0 else None}
     if cfg.resolved("degressive"):

@@ -172,7 +172,8 @@ class CommissionPolicy:
                 if not t2 > t1:  # also rejects NaN
                     raise DomainError(
                         f"degressive breakpoints out of order: {t1} before {t2}")
-            for _, r in bps:
+            for t, r in bps:
+                require_finite_nonneg("degressive threshold", t)
                 if not (0 <= r <= 1):
                     raise DomainError("rate out of [0,1]")
         if self.ad_share is not None and not (0 <= self.ad_share <= 1):

@@ -1,13 +1,10 @@
-"""Seeded population generation and alpha-sweep simulation.
+"""Seeded population generation, sweep export and risk pooling.
 
 Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
-numbers. Aggregates are summed in sorted-id order for bit-for-bit
-reproducibility: a sweep's platform profit at each rate is
-``participate``'s one-pass total of ``participation.entrant_profit``
-(commission, waived below the activity threshold in request volume, plus
-ad share, minus serving cost), so it equals ``optimizer.platform_profit``
-and ``optimizer.profit_curve`` under the default flat policy bit for bit.
+numbers. ``sweep`` and ``SweepResult`` live in ``participation`` and are
+re-exported here; aggregates are summed in sorted-id order for bit-for-bit
+reproducibility.
 """
 
 from __future__ import annotations
@@ -31,13 +28,15 @@ from .model import (
     RevenueTechnology,
     require_finite_nonneg,
 )
-from .participation import entrant_profit, participate
+from .participation import SweepResult, entrant_profit, participate, sweep  # noqa: F401
 
 log = logging.getLogger(__name__)
 
 # draws x developers above which risk_pooling_report refuses to allocate
 # its hit matrix (about 9 bytes a cell, so about 90 MB)
 MAX_POOL_CELLS = 10_000_000
+# developers per generated population (about 1.3 KB each, so about 130 MB)
+MAX_POPULATION = 100_000
 
 UNIFORM = "uniform"
 LOGNORMAL = "lognormal"
@@ -93,8 +92,10 @@ class PopulationSpec:
     family_mix: Tuple[Tuple[str, float], ...] = ((LINEAR_EFFORT, 1.0),)
 
     def __post_init__(self):
-        if self.size < 0:
-            raise DomainError("size must be >= 0")
+        if not 0 <= self.size <= MAX_POPULATION:
+            raise DomainError(f"size must be in [0, {MAX_POPULATION}]")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         total = sum(p for _, p in self.family_mix)
         if abs(total - 1.0) > 1e-9:
             raise DomainError("family mix proportions must sum to 1")
@@ -147,43 +148,6 @@ def generate_population(spec: PopulationSpec) -> List[DeveloperProfile]:
     return profiles
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    alphas: Tuple[float, ...]
-    platform_profits: Tuple[float, ...]
-    entrant_counts: Tuple[int, ...]
-    mean_developer_profits: Tuple[float, ...]
-    total_developer_surplus: Tuple[float, ...]
-    argmax_alpha: float
-    seed: Optional[int] = None
-
-
-def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
-          marginal_cost: float, seed: Optional[int] = None) -> SweepResult:
-    """Evaluate participation, best responses and platform profit over an
-    ascending alpha grid, one ``participate`` pass per rate."""
-    if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
-        raise DomainError("alpha grid must be sorted ascending")
-    require_finite_nonneg("marginal_cost", marginal_cost)
-    profits, counts, means, surplus = [], [], [], []
-    best_a, best_pi = None, -math.inf
-    for a in alpha_grid:
-        res = participate(population, a, marginal_cost=marginal_cost)
-        profits.append(res.platform_profit)
-        counts.append(res.count)
-        means.append(res.developer_surplus / res.count if res.count else 0.0)
-        surplus.append(res.developer_surplus)
-        if res.platform_profit > best_pi:
-            best_a, best_pi = a, res.platform_profit
-    return SweepResult(alphas=tuple(alpha_grid),
-                       platform_profits=tuple(profits),
-                       entrant_counts=tuple(counts),
-                       mean_developer_profits=tuple(means),
-                       total_developer_surplus=tuple(surplus),
-                       argmax_alpha=best_a if best_a is not None else math.nan,
-                       seed=seed)
-
-
 SWEEP_COLUMNS = ("alpha", "platform_profit", "n_entrants",
                  "mean_developer_profit", "total_developer_surplus")
 
@@ -226,6 +190,8 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
         raise DomainError("success_prob out of [0,1]")
     if draws < 1:
         raise DomainError("draws must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     if draws * len(population) > MAX_POOL_CELLS:
         raise DomainError(f"draws x population size must be <= {MAX_POOL_CELLS}")
     require_finite_nonneg("marginal_cost", marginal_cost)

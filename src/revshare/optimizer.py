@@ -6,18 +6,17 @@ each entrant's commission (waived while the entrant's request volume is
 below the policy's ``activity_threshold``) plus ``ad_share * ad_revenue``
 minus ``marginal_cost * usage``. ``participation.entrant_profit`` is its
 one definition, and ``participate`` adds it up in developer-id order in
-the same pass that decides entry, so every entry point here, and
-``montecarlo.sweep`` under a plain flat rate, gives bit-identical profits
-at a given rate.
+the same pass that decides entry, and ``participation.sweep`` is the one
+walk over a set of rates, so every entry point here gives bit-identical
+profits at a given rate.
 
 Profit over alpha can jump where entrants exit, so the search is a dense
 coarse grid (global coverage) followed by shrinking-grid refinement around
-the best bracket.
+the best bracket, each grid one ``sweep``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -29,10 +28,12 @@ from .model import (
     PlatformParams,
     QUADRATIC,
 )
-from .participation import developer_profit, participate
+from .participation import developer_profit, participate, rate_grid, sweep
 
 # finest outer-search grid step; a finer step would allocate ~1/step rates
 MIN_GRID_STEP = 1e-6
+# the refinement stops once its bracket is this narrow
+REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ def _canonical_alpha(params: PlatformParams,
 
 def optimize_alpha(params: PlatformParams,
                    policy: Optional[CommissionPolicy] = None,
-                   grid_step: float = 1e-3,
-                   refine_tol: float = 1e-8) -> EquilibriumReport:
+                   grid_step: float = 1e-3) -> EquilibriumReport:
     """Maximize platform profit over flat commission rates in [0, 1].
 
     A flat ``policy`` supplies the ad share and activity threshold applied
@@ -89,28 +89,23 @@ def optimize_alpha(params: PlatformParams,
     if not (MIN_GRID_STEP <= grid_step <= 1):
         raise DomainError(f"grid_step must be in [{MIN_GRID_STEP:g}, 1]")
 
-    n = int(round(1.0 / grid_step))
-    best_a, best_pi = 0.0, -math.inf
-    for i in range(n + 1):  # ascending, so the first max wins ties toward small alpha
-        a = i / n
-        pi = platform_profit(params, policy, alpha=a)
-        if pi > best_pi:
-            best_a, best_pi = a, pi
+    def best(grid: List[float]) -> Tuple[float, float]:  # the first maximum
+        swept = sweep(params.population, grid, params.marginal_cost, policy)
+        return max(swept.platform_profits), swept.argmax_alpha
 
+    coarse = rate_grid(0.0, 1.0, grid_step)
+    pi_star, alpha_star = best(coarse)
     # profit can jump where entrants exit, so refine by shrinking grids
     # rather than golden section (which assumes continuity at the peak)
-    lo = max(0.0, best_a - grid_step)
-    hi = min(1.0, best_a + grid_step)
-    alpha_star, pi_star = best_a, best_pi
+    lo = max(0.0, alpha_star - grid_step)
+    hi = min(1.0, alpha_star + grid_step)
     iterations = 0
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         iterations += 1
         step = (hi - lo) / 16
-        for j in range(17):
-            a = lo + j * step
-            pi = platform_profit(params, policy, alpha=a)
-            if pi > pi_star or (pi == pi_star and a < alpha_star):
-                alpha_star, pi_star = a, pi
+        pi, a = best(rate_grid(lo, hi, step))
+        if (pi, -a) > (pi_star, -alpha_star):  # ties keep the smaller rate
+            pi_star, alpha_star = pi, a
         lo = max(lo, alpha_star - step)
         hi = min(hi, alpha_star + step)
 
@@ -122,7 +117,7 @@ def optimize_alpha(params: PlatformParams,
         platform_profit=pi_star,
         n_entrants=res.count,
         per_developer=per_dev,
-        diagnostics={"grid_size": n + 1, "refine_iterations": iterations},
+        diagnostics={"grid_size": len(coarse), "refine_iterations": iterations},
         analytic_alpha=_canonical_alpha(params, policy),
         degenerate=pi_star <= 0.0,
     )
@@ -132,11 +127,8 @@ def profit_curve(params: PlatformParams, alpha_grid: Sequence[float],
                  policy: Optional[CommissionPolicy] = None
                  ) -> List[Tuple[float, float, int]]:
     """(alpha, profit, entrant count) samples for plotting/export."""
-    if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
-        raise DomainError("alpha_grid must be sorted ascending")
-    results = (participate(params.population, a, policy, params.marginal_cost)
-               for a in alpha_grid)
-    return [(a, r.platform_profit, r.count) for a, r in zip(alpha_grid, results)]
+    swept = sweep(params.population, alpha_grid, params.marginal_cost, policy)
+    return list(zip(alpha_grid, swept.platform_profits, swept.entrant_counts))
 
 
 def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4,
@@ -153,17 +145,16 @@ def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4
     if h <= 0 or alpha - h < 0 or alpha + h > 1:
         raise DomainError("step h leaves [0,1]")
 
-    def count_and_margin(a: float) -> Tuple[float, float]:
-        res = participate(params.population, a,
-                          marginal_cost=params.marginal_cost)
-        n = float(res.count)
-        if reservation_cdf is not None:  # smoothed expected count
-            n = sum(reservation_cdf(developer_profit(p, solve_effort(p, a)))
-                    for p in sorted(params.population, key=lambda q: q.id))
-        return n, res.platform_profit / res.count if res.count else 0.0
-
-    (n_lo, m_lo), (n_mid, m_mid), (n_hi, m_hi) = (
-        count_and_margin(a) for a in (alpha - h, alpha, alpha + h))
+    swept = sweep(params.population, [alpha - h, alpha, alpha + h],
+                  params.marginal_cost)
+    n_lo, n_mid, n_hi = map(float, swept.entrant_counts)
+    m_lo, m_mid, m_hi = (pi / n if n else 0.0 for pi, n in
+                         zip(swept.platform_profits, swept.entrant_counts))
+    if reservation_cdf is not None:  # smoothed expected count
+        ordered = sorted(params.population, key=lambda q: q.id)
+        n_lo, n_mid, n_hi = (
+            sum(reservation_cdf(developer_profit(p, solve_effort(p, a)))
+                for p in ordered) for a in swept.alphas)
     n_prime = (n_hi - n_lo) / (2 * h)
     m_prime = (m_hi - m_lo) / (2 * h)
     return n_prime * m_mid, n_mid * m_prime

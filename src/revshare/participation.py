@@ -3,17 +3,20 @@ commission rate, the participation count N(alpha), and the platform's
 profit from the developers who enter.
 
 Entry uses a weak inequality (profit >= reservation) so the zero-reservation
-boundary case enters.
+boundary case enters. ``sweep`` is the one walk of a population over a set
+of rates; every multi-rate evaluation reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .best_response import BestResponse, solve_effort, solve_effort_policy
-from .model import CommissionPolicy, DeveloperProfile, DomainError
+from .model import (CommissionPolicy, DeveloperProfile, DomainError,
+                    require_finite_nonneg)
 
 
 @dataclass(frozen=True)
@@ -96,15 +99,57 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
                                developer_surplus=surplus)
 
 
+def rate_grid(lo: float, hi: float, step: float) -> List[float]:
+    """n + 1 evenly spaced rates from lo to hi, n = round((hi - lo) / step)."""
+    n = int(round((hi - lo) / step))
+    if n < 1:
+        raise DomainError("empty sweep grid: step larger than range")
+    return [lo + i * (hi - lo) / n for i in range(n + 1)]
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    alphas: Tuple[float, ...]
+    platform_profits: Tuple[float, ...]
+    entrant_counts: Tuple[int, ...]
+    mean_developer_profits: Tuple[float, ...]
+    total_developer_surplus: Tuple[float, ...]
+    argmax_alpha: float  # first maximum of platform profit; NaN on no rates
+
+
+def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
+          marginal_cost: float,
+          policy: CommissionPolicy | None = None) -> SweepResult:
+    """Evaluate entry, best responses and platform profit over an ascending
+    alpha grid, one ``participate`` pass per rate. A flat ``policy``
+    supplies the ad share and activity threshold charged at every rate.
+    Ties break toward the smallest alpha: the argmax is the first maximum."""
+    if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
+        raise DomainError("alpha grid must be sorted ascending")
+    require_finite_nonneg("marginal_cost", marginal_cost)
+    profits, counts, means, surplus = [], [], [], []
+    best_a, best_pi = math.nan, -math.inf
+    for a in alpha_grid:
+        res = participate(population, a, policy, marginal_cost)
+        profits.append(res.platform_profit)
+        counts.append(res.count)
+        means.append(res.developer_surplus / res.count if res.count else 0.0)
+        surplus.append(res.developer_surplus)
+        if res.platform_profit > best_pi:
+            best_a, best_pi = a, res.platform_profit
+    return SweepResult(alphas=tuple(alpha_grid),
+                       platform_profits=tuple(profits),
+                       entrant_counts=tuple(counts),
+                       mean_developer_profits=tuple(means),
+                       total_developer_surplus=tuple(surplus),
+                       argmax_alpha=best_a)
+
+
 def participation_curve(population: Sequence[DeveloperProfile],
                         alpha_grid: Sequence[float]) -> List[Tuple[float, int]]:
-    """N(alpha) over a sorted grid; the curve must be non-increasing under a
-    flat commission and is asserted as such."""
-    if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
-        raise DomainError("alpha_grid must be sorted ascending")
-    if alpha_grid and (alpha_grid[0] < 0 or alpha_grid[-1] > 1):
-        raise DomainError("alpha_grid must lie in [0,1]")
-    curve = [(a, participate(population, a).count) for a in alpha_grid]
+    """N(alpha) over an ascending grid; the curve must be non-increasing
+    under a flat commission and is asserted as such."""
+    curve = list(zip(alpha_grid, sweep(population, alpha_grid, 0.0).entrant_counts))
     for (a1, n1), (a2, n2) in zip(curve, curve[1:]):
         if n2 > n1:
             raise AssertionError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, ROUND_HALF_UP
-from itertools import repeat
+from itertools import repeat, takewhile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .model import CommissionPolicy, DomainError
@@ -88,7 +88,10 @@ def _schedule_commission_cents(policy: CommissionPolicy, gross_cents: int) -> in
     if policy.is_flat:
         return _round_half_up(Decimal(repr(policy.rate)) * gross_cents)
     bps = policy.breakpoints
-    edges = [_round_half_up(Decimal(repr(threshold)) * 100) for threshold, _ in bps]
+    # a band starting at or above the gross is empty, as is every later one;
+    # its edge is never quantized, since a huge one overflows the Decimal context
+    scaled = (Decimal(repr(threshold)) * 100 for threshold, _ in bps)
+    edges = [_round_half_up(e) for e in takewhile(lambda e: e < gross_cents, scaled)]
     total = Decimal(0)
     for (_, rate), lo, hi in zip(bps, edges, edges[1:] + [gross_cents]):
         band = min(gross_cents, hi) - lo
@@ -168,8 +171,8 @@ def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
     """Parse a CSV ledger (app_id,period,kind,amount_cents[,premium]).
     Returns transactions plus per-row premium flags (default True). Columns
     may come in any order and blank lines are skipped; a row whose cell
-    count differs from the header's is rejected. Equal app ids, periods and
-    kinds share one string object."""
+    count differs from the header's is rejected. Errors name the physical
+    line. Equal app ids, periods and kinds share one string object."""
     import csv
     rows = csv.reader(lines)
     header = next(rows, [])
@@ -181,18 +184,19 @@ def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
     premium = column.get("premium")
     shared: Dict[str, str] = {}
     txs, flags = [], []
-    for line, row in enumerate(filter(None, rows), start=2):
+    for row in filter(None, rows):
         if len(row) != len(header):
-            raise DomainError(
-                f"line {line}: {len(row)} cells, the header has {len(header)}")
+            raise DomainError(f"line {rows.line_num}: {len(row)} cells, "
+                              f"the header has {len(header)}")
+        a, p, k, cents = row[app], row[period], row[kind], row[amount]
         try:
-            cents = int(row[amount])
-        except ValueError:
-            raise DomainError(
-                f"line {line}: amount_cents {row[amount]!r} is not an integer")
-        a, p, k = row[app], row[period], row[kind]
-        txs.append(Transaction(shared.setdefault(a, a), shared.setdefault(p, p),
-                               shared.setdefault(k, k), cents))
+            txs.append(Transaction(shared.setdefault(a, a), shared.setdefault(p, p),
+                                   shared.setdefault(k, k), int(cents)))
+        except DomainError as exc:  # Transaction's own check
+            raise DomainError(f"line {rows.line_num}: {exc}") from None
+        except ValueError:  # from int()
+            raise DomainError(f"line {rows.line_num}: amount_cents {cents!r} "
+                              "is not an integer") from None
         if premium is not None:
             flags.append(row[premium].strip().lower() not in ("0", "false", "no"))
     return txs, flags if premium is not None else [True] * len(txs)

@@ -72,6 +72,25 @@ class TestSettleCommand:
         assert json.loads(err) == {
             "error": "line 2: 3 cells, the header has 4", "module": "settle"}
 
+    def test_huge_degressive_threshold_settles_as_flat(self, capsys, tmp_path):
+        ledger = str(CONFIGS / "sample_ledger.csv")
+        outputs = []
+        for policy in (["--degressive", "0:0.3,1e26:0.2"],
+                       ["--degressive", "0:0.3,1e30:0.2"], ["--rate", "0.3"]):
+            out = tmp_path / f"stmt-{len(outputs)}.json"
+            status, _, _ = run_cli(capsys, "settle", "--ledger", ledger,
+                                   *policy, "--out", str(out))
+            assert status == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_infinite_degressive_threshold_usage_error(self, capsys, tmp_path):
+        ledger = str(CONFIGS / "sample_ledger.csv")
+        status, _, err = run_cli(capsys, "settle", "--ledger", ledger,
+                                 "--degressive", "0:0.3,inf:0.2")
+        assert status == 2
+        assert "degressive threshold must be finite" in err
+
     def test_missing_ledger_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "settle", "--ledger", "/nope.csv")
         assert status == 2
@@ -150,6 +169,37 @@ class TestSweepCommand:
                                  "--alpha-min", "0.5", "--alpha-max", "0.5")
         assert status == 2
         assert "empty sweep grid" in err
+
+
+class TestPopulationBounds:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--size", "3"], ["pool", "--size", "3"],
+        ["sweep", "--size", "3", "--grid-step", "0.5"]])
+    def test_negative_seed_usage_error(self, capsys, argv):
+        status, _, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert status == 2
+        assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["sweep"], ["pool", "--draws", "1"]])
+    def test_size_bound_checked_before_allocating(self, capsys, monkeypatch,
+                                                  argv):
+        # 1e8 developers would be about 130 GB; rejected before any draw
+        def no_population(spec):
+            raise AssertionError("population generated")
+
+        monkeypatch.setattr("revshare.cli.generate_population", no_population)
+        status, _, err = run_cli(capsys, *argv, "--size", "100000000")
+        assert status == 2
+        assert "size must be in [0, 100000]" in err
+
+    def test_sweep_bounds_outside_unit_interval_rejected(self):
+        # alpha_max = 1e9 at the finest step would be a 1e15-rate grid
+        cfg = ExperimentConfig(command="sweep", params={
+            "canonical": True, "alpha_max": 1e9, "grid_step": 1e-6})
+        assert validate(cfg) == ["alpha_max out of [0,1]: 1000000000.0"]
+        cfg.params.update(alpha_min=-0.5, alpha_max=1.0)
+        assert validate(cfg) == ["alpha_min out of [0,1]: -0.5"]
 
 
 class TestCompareAndPool:

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from revshare import montecarlo, participation
 from revshare.model import DomainError
 from revshare.montecarlo import (
     MAX_POOL_CELLS,
+    MAX_POPULATION,
     Distribution,
     PopulationSpec,
     generate_population,
     risk_pooling_report,
-    sweep,
     sweep_to_csv,
 )
+from revshare.participation import sweep
 
 from conftest import canonical_profile  # noqa: F401
 
@@ -65,6 +67,22 @@ class TestGeneratePopulation:
         pop = generate_population(spec)
         assert all(0 < p.tech.beta <= 1 for p in pop)
 
+    def test_size_bound_checked_before_allocating(self, monkeypatch):
+        # 1e8 developers would be about 130 GB; rejected before any draw
+        def no_draws(*args):
+            raise AssertionError("seed sequence spawned")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        with pytest.raises(DomainError, match="size must be in"):
+            generate_population(PopulationSpec(size=100_000_000, seed=1))
+        PopulationSpec(size=MAX_POPULATION, seed=1)  # the bound itself is allowed
+        with pytest.raises(DomainError, match="size must be in"):
+            PopulationSpec(size=MAX_POPULATION + 1, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            PopulationSpec(size=3, seed=-1)
+
     def test_family_mix_proportions_validated(self):
         with pytest.raises(DomainError):
             PopulationSpec(size=1, seed=0,
@@ -108,6 +126,10 @@ class TestSweep:
     def test_bad_marginal_cost_rejected(self, canonical_profile, cost):
         with pytest.raises(DomainError, match="marginal_cost"):
             sweep([canonical_profile], [0.0, 0.5], cost)
+
+    def test_reexported_from_participation(self):
+        assert montecarlo.sweep is participation.sweep
+        assert montecarlo.SweepResult is participation.SweepResult
 
     def test_csv_stable(self, canonical_profile):
         grid = [i / 10 for i in range(11)]
@@ -165,6 +187,11 @@ class TestRiskPooling:
         with pytest.raises(DomainError, match="draws x population size"):
             risk_pooling_report(pop, 0.5, 0.1, success_prob=0.5,
                                 draws=1_000_000, seed=1)
+
+    def test_negative_seed_rejected(self, canonical_profile):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            risk_pooling_report([canonical_profile], 0.5, 0.1,
+                                success_prob=0.5, draws=10, seed=-1)
 
     def test_no_entrants_has_no_coefficient_of_variation(self, canonical_profile):
         # at alpha = 1 nobody enters: the mean is 0 and std / |mean| is undefined

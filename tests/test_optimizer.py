@@ -11,13 +11,13 @@ from revshare.model import (
     PlatformParams,
     RevenueTechnology,
 )
-from revshare.montecarlo import sweep
 from revshare.optimizer import (
     marginal_decomposition,
     optimize_alpha,
     platform_profit,
     profit_curve,
 )
+from revshare.participation import participate, sweep
 
 from conftest import random_profiles
 
@@ -92,8 +92,13 @@ class TestEntryPointsAgree:
         # entrants at some rates and not at others
         policy = CommissionPolicy.flat(0.0, ad_share=0.3, activity_threshold=0.4)
         curve = profit_curve(params, self.GRID, policy)
-        for a, (_, from_curve, _) in zip(self.GRID, curve):
-            assert from_curve == platform_profit(params, policy, alpha=a)
+        swept = sweep(params.population, self.GRID, params.marginal_cost,
+                      policy=policy)
+        for a, from_sweep, (_, from_curve, _) in zip(
+                self.GRID, swept.platform_profits, curve):
+            assert from_sweep == from_curve == platform_profit(params, policy,
+                                                                alpha=a)
+        assert swept.entrant_counts == tuple(n for _, _, n in curve)
         assert curve != profit_curve(params, self.GRID)
 
 
@@ -139,6 +144,88 @@ class TestOptimizeAlpha:
         a_star, pi_star = oracle_alpha_grid(pop, 0.1)
         assert report.alpha_star == pytest.approx(a_star, abs=1e-4)
         assert report.platform_profit >= pi_star - 1e-6
+
+
+def reference_optimize_alpha(params, policy=None, grid_step=1e-3,
+                             refine_tol=1e-8):
+    """The outer search as plain loops over platform_profit: an ascending
+    coarse grid whose first maximum wins, then 17-point shrinking rounds
+    that replace the incumbent only on a higher profit or an equal profit
+    at a smaller rate."""
+    n = int(round(1.0 / grid_step))
+    best_a, best_pi = 0.0, -np.inf
+    for i in range(n + 1):
+        a = i / n
+        pi = platform_profit(params, policy, alpha=a)
+        if pi > best_pi:
+            best_a, best_pi = a, pi
+    lo, hi = max(0.0, best_a - grid_step), min(1.0, best_a + grid_step)
+    alpha_star, pi_star = best_a, best_pi
+    iterations = 0
+    while hi - lo > refine_tol:
+        iterations += 1
+        step = (hi - lo) / 16
+        for j in range(17):
+            a = lo + j * step
+            pi = platform_profit(params, policy, alpha=a)
+            if pi > pi_star or (pi == pi_star and a < alpha_star):
+                alpha_star, pi_star = a, pi
+        lo, hi = max(lo, alpha_star - step), min(hi, alpha_star + step)
+    n_entrants = participate(params.population, alpha_star, policy,
+                             params.marginal_cost).count
+    return (alpha_star, pi_star, n_entrants,
+            {"grid_size": n + 1, "refine_iterations": iterations})
+
+
+def ad_band_params():
+    """Commission always waived (threshold above any usage), no serving
+    cost: profit is ad_share times the entrants' ad revenue, flat at its
+    maximum from alpha = 0 up to the first exit."""
+    rng = np.random.default_rng(3)
+    pop = [dataclasses.replace(p, ad_revenue=float(rng.uniform(0.1, 0.5)))
+           for p in random_profiles(15, seed=3, reservation_hi=0.4)]
+    policy = CommissionPolicy.flat(0.0, ad_share=0.5, activity_threshold=1e9)
+    return PlatformParams(marginal_cost=0.0, population=pop), policy
+
+
+class TestOptimizeAlphaMatchesReferenceLoops:
+    @staticmethod
+    def assert_same(params, policy=None, grid_step=1e-2):
+        report = optimize_alpha(params, policy, grid_step=grid_step)
+        got = (report.alpha_star, report.platform_profit, report.n_entrants,
+               report.diagnostics)
+        assert got == reference_optimize_alpha(params, policy, grid_step)
+        return report
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_population(self, seed):
+        pop = random_profiles(20, seed=seed, reservation_hi=0.3)
+        self.assert_same(PlatformParams(marginal_cost=0.1, population=pop))
+
+    def test_canonical_default_grid(self):
+        self.assert_same(canonical_params(0.2), grid_step=1e-3)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_seeded_population_under_policy(self, seed):
+        rng = np.random.default_rng(seed)
+        pop = [dataclasses.replace(p, ad_revenue=float(rng.uniform(0.0, 0.5)))
+               for p in random_profiles(20, seed=seed, reservation_hi=0.3)]
+        params = PlatformParams(marginal_cost=0.15, population=pop)
+        policy = CommissionPolicy.flat(0.0, ad_share=0.3, activity_threshold=0.4)
+        report = self.assert_same(params, policy)
+        assert report.alpha_star != optimize_alpha(params, grid_step=1e-2).alpha_star
+
+    def test_empty_population_ties_at_zero(self):
+        report = self.assert_same(PlatformParams(marginal_cost=0.1,
+                                                 population=[]))
+        assert report.alpha_star == 0.0 and report.platform_profit == 0.0
+
+    def test_flat_profit_band_ties_at_zero(self):
+        params, policy = ad_band_params()
+        curve = profit_curve(params, [0.0, 0.005, 0.01], policy)
+        assert len({pi for _, pi, _ in curve}) == 1  # a tie, not a slope
+        report = self.assert_same(params, policy)
+        assert report.alpha_star == 0.0 and report.diagnostics["refine_iterations"] > 0
 
 
 class TestProfitCurve:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from revshare.model import DeveloperProfile, DomainError, EffortCost, RevenueTechnology
-from revshare.participation import participate, participation_curve
+from revshare.participation import participate, participation_curve, rate_grid
 
 from conftest import random_profiles
 
@@ -66,6 +66,10 @@ class TestParticipationCurve:
         with pytest.raises(DomainError):
             participation_curve([canonical_profile], [0.5, 0.2])
 
+    def test_rate_outside_unit_interval_rejected(self, canonical_profile):
+        with pytest.raises(DomainError, match="rate out of"):
+            participation_curve([canonical_profile], [0.5, 1.5])
+
     def test_analytic_crosscheck_uniform_reservations(self):
         # pi(alpha) = A^2 (1-alpha)^2 / (2k) = (1-alpha)^2/2 here
         rng = np.random.default_rng(123)
@@ -87,3 +91,19 @@ class TestParticipationCurve:
         pop = random_profiles(20, seed=77, reservation_hi=0.2)
         grid = list(np.linspace(0, 1, 21))
         assert participation_curve(pop, grid) == participation_curve(pop, grid)
+
+
+class TestRateGrid:
+    @pytest.mark.parametrize("step", [1e-3, 1e-2, 0.3, 1.0])
+    def test_unit_interval_is_i_over_n(self, step):
+        n = int(round(1 / step))
+        assert rate_grid(0.0, 1.0, step) == [i / n for i in range(n + 1)]
+
+    def test_sub_interval_includes_both_ends(self):
+        grid = rate_grid(0.1, 0.9, 0.2)
+        assert len(grid) == 5 and grid[0] == 0.1 and grid[-1] == 0.9
+
+    def test_step_larger_than_range_rejected(self):
+        with pytest.raises(DomainError,
+                           match="empty sweep grid: step larger than range"):
+            rate_grid(0.2, 0.3, 0.5)

@@ -87,6 +87,19 @@ class TestDegressive:
         stmt = settle([tx(1000)], policy)
         assert stmt.commission_cents == 30 + 90
 
+    @pytest.mark.parametrize("threshold", [1e25, 1e26, 1e30, 1e300])
+    def test_threshold_above_gross_settles_as_flat(self, threshold):
+        # the second band is empty; its edge is never quantized, so a
+        # threshold beyond the Decimal context's 28 digits cannot overflow
+        policy = CommissionPolicy.degressive([(0.0, 0.30), (threshold, 0.20)])
+        txs = [tx(4175), tx(9999), tx(1)]
+        flat = settle(txs, CommissionPolicy.flat(0.30))
+        assert settle(txs, policy).to_json() == flat.to_json()
+
+    def test_infinite_threshold_rejected(self):
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            CommissionPolicy.degressive([(0.0, 0.30), (math.inf, 0.20)])
+
     def test_period_reset_not_additive(self):
         # settling a doubled ledger is NOT double the commission: the second
         # half rides the cheaper band
@@ -228,13 +241,29 @@ class TestLedgerParsing:
         with pytest.raises(DomainError) as err:
             parse_ledger(["app_id,period,kind,amount_cents",
                           "a,p,sale,7", "", row])
-        assert str(err.value) == f"line 3: {cells} cells, the header has 4"
+        assert str(err.value) == f"line 4: {cells} cells, the header has 4"
 
     def test_bad_amount(self):
         with pytest.raises(DomainError) as err:
             parse_ledger(["app_id,period,kind,amount_cents",
                           "a,p,sale,12.5"])
         assert "line 2" in str(err.value)
+
+
+    def test_blank_line_counts_toward_line_number(self):
+        with pytest.raises(DomainError) as err:
+            parse_ledger(["app_id,period,kind,amount_cents", "",
+                          "a,p,sale,100", "a,p,sale,12.5"])
+        assert str(err.value) == "line 4: amount_cents '12.5' is not an integer"
+
+    @pytest.mark.parametrize("row,message", [
+        ("a,p,tip,5", "line 4: unknown transaction kind 'tip'"),
+        ("a,p,sale,-5", "line 4: amount_cents must be >= 0")])
+    def test_transaction_error_names_the_line(self, row, message):
+        with pytest.raises(DomainError) as err:
+            parse_ledger(["app_id,period,kind,amount_cents", "a,p,sale,1", "",
+                          row, "a,p,sale,2"])
+        assert str(err.value) == message
 
 
 def _half_up(x: Fraction) -> int:
