@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from typing import Dict, List, Optional
@@ -56,60 +56,61 @@ from .settlement import (
 
 OUTDIR_ENV = "REVSHARE_OUTDIR"
 
-COMMANDS = ("solve", "sweep", "compare", "scenario", "settle", "pool")
+FMAX = sys.float_info.max  # bounds an unbounded number: rejects inf and NaN
 
-# per-command parameter schema: name -> (type tag, default)
+# per-command parameter schema: name -> (type tag, default, lo, hi); every
+# int or float parameter must lie in [lo, hi]
 SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "solve": {
-        "canonical": ("bool", False),
-        "cost": ("float", 0.2),
-        "grid_step": ("float", 1e-3),
-        "scale": ("float", 1.0),
-        "cost_scale": ("float", 1.0),
-        "reservation": ("float", 0.0),
-        "size": ("int", 0),       # >0: generated population instead of single dev
-        "seed": ("int", 0),
+        "canonical": ("bool", False, None, None),
+        "cost": ("float", 0.2, 0, FMAX),
+        "grid_step": ("float", 1e-3, MIN_GRID_STEP, 1),
+        "scale": ("float", 1.0, 1e-6, 1e6),   # keeps A/k and A*e far from overflow
+        "cost_scale": ("float", 1.0, 1e-6, 1e6),
+        "reservation": ("float", 0.0, 0, FMAX),
+        "size": ("int", 0, 0, MAX_POPULATION),  # >0: generated population
+        "seed": ("int", 0, 0, FMAX),
     },
     "sweep": {
-        "canonical": ("bool", False),
-        "cost": ("float", 0.2),
-        "grid_step": ("float", 1e-3),
-        "alpha_min": ("float", 0.0),
-        "alpha_max": ("float", 1.0),
-        "size": ("int", 0),
-        "seed": ("int", 0),
+        "canonical": ("bool", False, None, None),
+        "cost": ("float", 0.2, 0, FMAX),
+        "grid_step": ("float", 1e-3, MIN_GRID_STEP, 1),
+        "alpha_min": ("float", 0.0, 0, 1),
+        "alpha_max": ("float", 1.0, 0, 1),
+        "size": ("int", 0, 0, MAX_POPULATION),
+        "seed": ("int", 0, 0, FMAX),
     },
     "compare": {
-        "rate": ("float", 0.25),
-        "cost": ("float", 0.0),
-        "token_price": ("float", 0.2),
-        "subscription_fee": ("float", 0.1),
-        "free_quota": ("float", 0.5),
-        "overage_price": ("float", 0.2),
-        "marketplace_commission": ("float", 0.15),
-        "capital": ("float", math.inf),
-        "scale": ("float", 1.0),
-        "cost_scale": ("float", 1.0),
-        "reservation": ("float", 0.0),
+        "rate": ("float", 0.25, 0, 1),
+        "cost": ("float", 0.0, 0, FMAX),
+        "token_price": ("float", 0.2, 0, FMAX),
+        "subscription_fee": ("float", 0.1, 0, FMAX),
+        "free_quota": ("float", 0.5, 0, FMAX),
+        "overage_price": ("float", 0.2, 0, FMAX),
+        "marketplace_commission": ("float", 0.15, 0, 1),
+        "capital": ("float", math.inf, 0, math.inf),  # default: unlimited
+        "scale": ("float", 1.0, 1e-6, 1e6),
+        "cost_scale": ("float", 1.0, 1e-6, 1e6),
+        "reservation": ("float", 0.0, 0, FMAX),
     },
     "scenario": {
-        "number": ("int", 1),
-        "rate": ("float", 0.25),
+        "number": ("int", 1, 1, 3),
+        "rate": ("float", 0.25, 0, 1),
     },
     "settle": {
-        "ledger": ("str", ""),
-        "rate": ("float", 0.25),
-        "ad_share": ("float", -1.0),   # <0 means absent
-        "degressive": ("str", ""),     # "0:0.30,1000:0.20" thresholds in currency
-        "freemium": ("bool", False),
+        "ledger": ("str", "", None, None),
+        "rate": ("float", 0.25, 0, 1),
+        "ad_share": ("float", -1.0, -1, 1),   # <0 means absent
+        "degressive": ("str", "", None, None),  # "0:0.30,1000:0.20" in currency
+        "freemium": ("bool", False, None, None),
     },
     "pool": {
-        "size": ("int", 100),
-        "seed": ("int", 0),
-        "alpha": ("float", 0.6),
-        "cost": ("float", 0.2),
-        "success_prob": ("float", 0.5),
-        "draws": ("int", 10000),
+        "size": ("int", 100, 0, MAX_POPULATION),
+        "seed": ("int", 0, 0, FMAX),
+        "alpha": ("float", 0.6, 0, 1),
+        "cost": ("float", 0.2, 0, 1e6),  # cost x usage over all cells stays finite
+        "success_prob": ("float", 0.5, 0, 1),
+        "draws": ("int", 10000, 1, MAX_POOL_CELLS),
     },
 }
 
@@ -119,12 +120,11 @@ class ExperimentConfig:
     command: str
     params: Dict[str, object] = field(default_factory=dict)
     output: Optional[str] = None
-    fmt: str = "json"
+    fmt: Optional[str] = None  # only checked: sweep writes csv, the rest json
     no_timestamp: bool = False
 
     def resolved(self, name: str):
-        kind, default = SCHEMAS[self.command][name]
-        return self.params.get(name, default)
+        return self.params.get(name, SCHEMAS[self.command][name][1])
 
 
 def parse_currency(text: str) -> int:
@@ -139,19 +139,21 @@ def parse_currency(text: str) -> int:
     return int(cents)
 
 
+TYPES = {"int": int, "float": float, "str": str}  # bool flags take no value
+
+
 def _coerce(kind: str, raw: str):
     if kind == "bool":
         return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+    return TYPES[kind](raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DomainError(f"{path}: not an INI config: {exc}")
     if not read:
         raise DomainError(f"config file not found: {path}")
     if "experiment" not in parser:
@@ -161,7 +163,7 @@ def load_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig(
         command=command,
         output=exp.get("output", None) or None,
-        fmt=exp.get("format", "json"),
+        fmt=exp.get("format"),
         no_timestamp=_coerce("bool", exp.get("no_timestamp", "false")),
     )
     if command in SCHEMAS and "params" in parser:
@@ -179,10 +181,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {"command": cfg.command, "format": cfg.fmt,
+    parser["experiment"] = {"command": cfg.command,
                             "no_timestamp": str(cfg.no_timestamp).lower()}
-    if cfg.output:
-        parser["experiment"]["output"] = cfg.output
+    for key, value in (("format", cfg.fmt), ("output", cfg.output)):
+        if value:
+            parser["experiment"][key] = value
     schema = SCHEMAS.get(cfg.command, {})
     parser["params"] = {}
     for name in schema:
@@ -194,68 +197,55 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
+def _range_text(lo, hi) -> str:
+    return f"must be >= {lo:g}" if hi >= FMAX else f"must be in [{lo:g}, {hi:g}]"
+
+
 def validate(cfg: ExperimentConfig) -> List[str]:
-    """All violations that would make run() reject the experiment."""
-    issues: List[str] = []
-    if cfg.command not in COMMANDS:
-        issues.append(f"unknown command {cfg.command!r}")
-        return issues
+    """All violations that would make run() reject the experiment: a value
+    outside its SCHEMAS range, then the rules that span several values."""
+    if cfg.command not in SCHEMAS:
+        return [f"unknown command {cfg.command!r}"]
     schema = SCHEMAS[cfg.command]
-    for key in cfg.params:
-        if key not in schema:
-            issues.append(f"unknown parameter {key!r} for {cfg.command}")
-    if cfg.fmt not in ("json", "csv"):
-        issues.append(f"unknown format {cfg.fmt!r}")
-
-    def val(name):
-        return cfg.resolved(name)
-
-    for rate_key in ("rate", "alpha", "alpha_min", "alpha_max", "success_prob",
-                     "marketplace_commission"):
-        if rate_key in schema and not (0 <= val(rate_key) <= 1):
-            issues.append(f"{rate_key} out of [0,1]: {val(rate_key)}")
-    if "ad_share" in schema and val("ad_share") >= 0 and val("ad_share") > 1:
-        issues.append(f"ad_share out of [0,1]: {val('ad_share')}")
-    for nonneg in ("cost", "token_price", "subscription_fee", "free_quota",
-                   "overage_price", "reservation"):
-        if nonneg in schema and val(nonneg) < 0:
-            issues.append(f"{nonneg} must be >= 0")
-    for pos in ("scale", "cost_scale"):
-        if pos in schema and val(pos) <= 0:
-            issues.append(f"{pos} must be positive")
-    if "grid_step" in schema and not val("grid_step") >= MIN_GRID_STEP:
-        issues.append(f"grid_step must be >= {MIN_GRID_STEP:g}")
-    if "size" in schema and not 0 <= val("size") <= MAX_POPULATION:
-        issues.append(f"size must be in [0, {MAX_POPULATION}]")
-    if "seed" in schema and val("seed") < 0:
-        issues.append("seed must be >= 0")
+    issues = [f"unknown parameter {key!r} for {cfg.command}"
+              for key in cfg.params if key not in schema]
+    writes = "csv" if cfg.command == "sweep" else "json"
+    if cfg.fmt is not None and cfg.fmt != writes:
+        issues.append(f"{cfg.command} writes {writes}, not {cfg.fmt!r}")
+    for name, (kind, default, lo, hi) in schema.items():
+        v = cfg.params.get(name, default)
+        if lo is not None and not lo <= v <= hi:
+            rule = "out of [0,1]" if (lo, hi) == (0, 1) else _range_text(lo, hi)
+            issues.append(f"{name} {rule}: {v}")
+    if issues:  # the rules below assume every value is in range
+        return issues
+    val = cfg.resolved
+    if cfg.command in ("solve", "sweep"):
+        span = val("alpha_max") - val("alpha_min") if cfg.command == "sweep" else 1
+        n = round(span / val("grid_step"))  # rate_grid's n; n + 1 rates
+        if n < 1:
+            issues.append("empty sweep grid: alpha_max - alpha_min is below "
+                          "one grid step")
+        cells = max(val("size"), 1) * (n + 1)
+        if cells > MAX_POOL_CELLS:
+            issues.append(f"size x rates must be <= {MAX_POOL_CELLS}: {cells}")
     if cfg.command == "sweep" and not val("canonical") and val("size") == 0:
         issues.append("sweep needs a population: give --size or --canonical")
-    if "draws" in schema and val("draws") < 1:
-        issues.append("draws must be >= 1")
     if cfg.command == "pool":
         if val("size") < 1:
             issues.append("pool needs size >= 1")
         if val("size") * val("draws") > MAX_POOL_CELLS:
             issues.append(f"draws x size must be <= {MAX_POOL_CELLS}")
-    if cfg.command == "sweep" and val("alpha_min") >= val("alpha_max"):
-        issues.append("empty sweep grid: alpha_min >= alpha_max")
-    if cfg.command == "scenario" and val("number") not in (1, 2, 3):
-        issues.append("scenario number must be 1, 2 or 3")
     if cfg.command == "settle":
-        if not val("ledger"):
-            issues.append("settle requires a ledger path")
-        elif not os.path.exists(val("ledger")):
-            issues.append(f"ledger file not found: {val('ledger')}")
+        if not os.path.isfile(val("ledger")):
+            issues.append(f"ledger file not found: {val('ledger')!r}")
         if val("degressive"):
             try:
                 CommissionPolicy.degressive(_parse_degressive(val("degressive")))
             except DomainError as exc:
                 issues.append(str(exc))
     if cfg.output:
-        outdir = os.path.dirname(_resolve_output(cfg.output)) or "."
-        if not os.path.isdir(outdir):
-            issues.append(f"output directory does not exist: {outdir}")
+        issues += _output_issues(cfg.output)
     return issues
 
 
@@ -277,6 +267,15 @@ def _resolve_output(path: str) -> str:
     return os.path.join(base, path) if base else path
 
 
+def _output_issues(path: str) -> List[str]:
+    path = _resolve_output(path)
+    outdir = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return [f"output path is a directory: {path}"]
+    return [] if os.path.isdir(outdir) else \
+        [f"output directory does not exist: {outdir}"]
+
+
 def _write_atomic(path: str, text: str) -> None:
     path = _resolve_output(path)
     d = os.path.dirname(path) or "."
@@ -289,6 +288,14 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: str, payload) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or infinity
+        raise DomainError("the report has a value that JSON cannot carry")
+    _write_atomic(path, text + "\n")
 
 
 def _single_profile(cfg: ExperimentConfig) -> DeveloperProfile:
@@ -327,19 +334,11 @@ def _run_solve(cfg: ExperimentConfig) -> str:
             "n_entrants": report.n_entrants,
             "analytic_alpha": report.analytic_alpha,
             "degenerate": report.degenerate,
-            "per_developer": [
-                {"id": dev_id, "effort": br.effort, "price": br.price,
-                 "gross_revenue": br.gross_revenue, "usage": br.usage,
-                 "net_profit": br.net_profit, "foc_residual": br.foc_residual,
-                 "method": br.method}
-                for dev_id, br in report.per_developer
-            ],
-            "diagnostics": {
-                "grid_size": report.diagnostics["grid_size"],
-                "refine_iterations": report.diagnostics["refine_iterations"],
-            },
+            "per_developer": [{"id": dev_id, **asdict(br)}
+                              for dev_id, br in report.per_developer],
+            "diagnostics": report.diagnostics,  # grid_size, refine_iterations
         }
-        _write_atomic(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg.output, payload)
     return summary
 
 
@@ -381,7 +380,7 @@ def _run_compare(cfg: ExperimentConfig) -> str:
                 for r in table.rows
             ],
         }
-        _write_atomic(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg.output, payload)
     return (f"developer_prefers={table.preferred_by_developer} "
             f"platform_prefers={table.preferred_by_platform}")
 
@@ -446,16 +445,7 @@ def _run_pool(cfg: ExperimentConfig) -> str:
         cfg.resolved("success_prob"), draws=cfg.resolved("draws"),
         seed=cfg.resolved("seed"))
     if cfg.output:
-        payload = {
-            "mean_profit": report.mean_profit,
-            "std_profit": report.std_profit,
-            "p5_profit": report.p5_profit,
-            "coefficient_of_variation": report.coefficient_of_variation,
-            "deterministic_profit": report.deterministic_profit,
-            "draws": report.draws,
-            "population_size": report.population_size,
-        }
-        _write_atomic(cfg.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(cfg.output, asdict(report))
     cv = report.coefficient_of_variation
     return (f"mean={report.mean_profit:.6f} p5={report.p5_profit:.6f} "
             f"cv={'none' if cv is None else f'{cv:.6f}'}")
@@ -471,13 +461,17 @@ RUNNERS = {
 }
 
 
+def _usage_error(issues: List[str]) -> int:
+    for issue in issues:
+        print(f"error: {issue}", file=sys.stderr)
+    return 2
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated experiment; returns a process exit status."""
     issues = validate(cfg)
     if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return 2
+        return _usage_error(issues)
     try:
         print(RUNNERS[cfg.command](cfg))
     except DomainError as exc:
@@ -503,15 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the resolved config and exit")
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", dest="fmt", default=None,
-                       choices=("json", "csv"))
+                       choices=("json", "csv"),
+                       help="checked only: sweep writes csv, the rest json")
         p.add_argument("--no-timestamp", action="store_true", default=None)
-        for name, (kind, default) in schema.items():
+        for name, (kind, default, lo, hi) in schema.items():
             flag = "--" + name.replace("_", "-")
             if kind == "bool":
                 p.add_argument(flag, action="store_true", default=None)
             else:
-                p.add_argument(flag, type={"int": int, "float": float,
-                                           "str": str}[kind], default=None)
+                p.add_argument(flag, type=TYPES[kind], default=None, help=None
+                               if lo is None else f"{_range_text(lo, hi)}, "
+                                                  f"default {default:g}")
 
     v = sub.add_parser("validate")
     v.add_argument("config", help="experiment config to check")
@@ -545,8 +541,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             cfg = load_config(args.config)
         except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error([str(exc)])
         issues = validate(cfg)
         for issue in issues:
             print(issue)
@@ -557,6 +552,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps({"error": str(exc), "module": "cli"}), file=sys.stderr)
         return 2
     if args.dump_config:
+        issues = _output_issues(args.dump_config)
+        if issues:
+            return _usage_error(issues)
         _write_atomic(args.dump_config, dump_config(cfg))
         print(f"wrote {args.dump_config}")
         return 0

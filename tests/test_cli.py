@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revshare.cli import (
+    SCHEMAS,
     ExperimentConfig,
+    _write_json,
     dump_config,
     load_config,
     main,
@@ -13,6 +19,7 @@ from revshare.cli import (
     validate,
 )
 from revshare.model import DomainError
+from revshare.montecarlo import RiskPoolingReport
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,13 +163,12 @@ class TestSweepCommand:
         status, _, err = run_cli(capsys, command, "--canonical",
                                  "--grid-step", "1e-9")
         assert status == 2
-        assert "grid_step must be >= 1e-06" in err
+        assert "grid_step must be in [1e-06, 1]" in err
 
     def test_nan_cost_domain_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical", "--cost", "nan")
-        assert status == 1
-        assert json.loads(err) == {
-            "error": "marginal_cost must be finite and >= 0", "module": "sweep"}
+        assert status == 2
+        assert err == "error: cost must be >= 0: nan\n"
 
     def test_empty_grid_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical",
@@ -179,6 +185,20 @@ class TestPopulationBounds:
         status, _, err = run_cli(capsys, *argv, "--seed", "-1")
         assert status == 2
         assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--size", "100000", "--grid-step", "0.001"],
+        ["sweep", "--size", "10000", "--grid-step", "0.001"]])
+    def test_rate_cell_budget_checked_before_allocating(self, capsys,
+                                                        monkeypatch, argv):
+        # 1e5 developers x 1,001 rates would be about 1e8 best responses
+        def no_population(spec):
+            raise AssertionError("population generated")
+
+        monkeypatch.setattr("revshare.cli.generate_population", no_population)
+        status, _, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert "size x rates must be <= 10000000" in err
 
     @pytest.mark.parametrize("argv", [
         ["solve"], ["sweep"], ["pool", "--draws", "1"]])
@@ -202,6 +222,195 @@ class TestPopulationBounds:
         assert validate(cfg) == ["alpha_min out of [0,1]: -0.5"]
 
 
+class TestDeclaredBounds:
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_grid_step_above_one_usage_error(self, capsys, command):
+        status, _, err = run_cli(capsys, command, "--canonical",
+                                 "--grid-step", "2")
+        assert status == 2
+        assert err == "error: grid_step must be in [1e-06, 1]: 2.0\n"
+
+    def test_nan_ad_share_usage_error(self, capsys):
+        status, _, err = run_cli(capsys, "settle", "--ledger",
+                                 str(CONFIGS / "sample_ledger.csv"),
+                                 "--ad-share", "nan")
+        assert status == 2
+        assert err == "error: ad_share must be in [-1, 1]: nan\n"
+
+    @pytest.mark.parametrize("scale,cost_scale", [("1e150", "1e-150"),
+                                                  ("1e200", "1e-200")])
+    def test_overflowing_scale_usage_error(self, capsys, scale, cost_scale):
+        # A/k overflows the effort: a traceback, or every developer dropped
+        status, _, err = run_cli(capsys, "solve", "--scale", scale,
+                                 "--cost-scale", cost_scale)
+        assert status == 2
+        assert f"scale must be in [1e-06, 1e+06]: {float(scale)}" in err
+        assert f"cost_scale must be in [1e-06, 1e+06]: {float(cost_scale)}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--format", "csv"], "solve writes json, not 'csv'"),
+        (["sweep", "--canonical", "--format", "json"],
+         "sweep writes csv, not 'json'")])
+    def test_format_the_command_does_not_write(self, capsys, argv, message):
+        status, _, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--canonical", "--out", "{dir}"],
+        ["settle", "--ledger", "{dir}"],
+        ["solve", "--canonical", "--dump-config", "{dir}"],
+        ["solve", "--dump-config", "{dir}/missing/x.ini"]])
+    def test_directory_or_missing_parent_path_usage_error(self, capsys,
+                                                          tmp_path, argv):
+        argv = [a.format(dir=tmp_path) for a in argv]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_report_is_domain_error(self, capsys, tmp_path,
+                                               monkeypatch):
+        def overflowing_report(*args, **kwargs):
+            return RiskPoolingReport(-math.inf, math.nan, math.nan, math.nan,
+                                     -math.inf, 10, 5)
+
+        monkeypatch.setattr("revshare.cli.risk_pooling_report",
+                            overflowing_report)
+        out_path = tmp_path / "p.json"
+        status, out, err = run_cli(capsys, "pool", "--size", "5", "--draws",
+                                   "10", "--out", str(out_path))
+        assert status == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "the report has a value that JSON cannot carry",
+            "module": "pool"}
+        assert not out_path.exists()
+        with pytest.raises(DomainError):
+            _write_json(str(out_path), {"x": math.inf})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        "garbage\n[experiment]\ncommand = solve\n",
+        "[experiment]\ncommand = solve\ncommand = solve\n"])
+    def test_malformed_ini_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["solve", "--config", str(path)]):
+            status, _, err = run_cli(capsys, *argv)
+            assert status == 2
+            assert "not an INI config" in err
+
+    def test_declared_bounds_are_inclusive(self):
+        # the costly ends (1e5 developers, 1e7 draws, a 1e-6 step) are
+        # checked here without running; cross-field rules may still apply
+        for command, schema in SCHEMAS.items():
+            for name, (kind, default, lo, hi) in schema.items():
+                for v in (lo, hi):
+                    if lo is None:
+                        continue
+                    cfg = ExperimentConfig(command=command, params={name: v})
+                    assert not any(i.startswith((f"{name} must", f"{name} out"))
+                                   for i in validate(cfg)), (command, name, v)
+
+    def test_help_states_the_declared_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pool", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--cost COST must be in [0, 1e+06], default 0.2" in out
+        assert "--seed SEED must be >= 0, default 0" in out
+        assert "--draws DRAWS must be in [1, 1e+07], default 10000" in out
+
+
+# In-process runs stay small: in-range draws of these are capped.
+CAPS = {"size": (0, 20), "draws": (1, 200), "grid_step": (0.01, 1)}
+# a population, a cheap grid and a ledger, each overridden by a drawn flag
+BASE_ARGS = {"solve": ["--grid-step=0.01"],
+             "sweep": ["--size=3", "--grid-step=0.01"],
+             "pool": ["--size=5", "--draws=50"],
+             "settle": ["--ledger=" + str(CONFIGS / "sample_ledger.csv")]}
+
+
+def flag_values(name, kind, lo, hi):
+    """Values inside, at and just outside [lo, hi], and NaN and +-inf."""
+    bottom, top = CAPS.get(name, (lo, hi))
+    if kind == "int":
+        inside = st.integers(bottom, int(top))
+        edges = [lo - 1, bottom, int(top), int(hi) + 1]
+    else:
+        inside = st.floats(bottom, top)
+        edges = [math.nextafter(lo, -math.inf), bottom, top,
+                 math.nextafter(hi, math.inf)]
+    edges += [math.nan, math.inf, -math.inf]
+    return st.one_of(inside, st.sampled_from(edges)).map(repr)
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse: a value that is not an int
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-property")
+    return {"file": str(root / "report.out"), "dir": str(root),
+            "missing": str(root / "missing" / "x.out")}
+
+
+def reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_flag_value_exits_cleanly(data, paths):
+    command = data.draw(st.sampled_from(sorted(SCHEMAS)))
+    argv = [command] + BASE_ARGS.get(command, [])
+    schema = SCHEMAS[command]
+    for name in data.draw(st.lists(st.sampled_from(sorted(schema)),
+                                   unique=True, max_size=4)):
+        kind, default, lo, hi = schema[name]
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
+            argv.append(flag)
+            continue
+        if name == "ledger":
+            value = data.draw(st.sampled_from(["", paths["dir"],
+                                               paths["missing"]]))
+        elif name == "degressive":
+            value = data.draw(st.sampled_from(
+                ["0:0.3,100:0.2", "0:0.3,inf:0.2", "0:nan", "10:0.2", "x"]))
+        else:
+            value = data.draw(flag_values(name, kind, lo, hi))
+        argv.append(f"{flag}={value}")
+    out_kind = data.draw(st.sampled_from([None, "file", "dir", "missing"]))
+    if out_kind:
+        argv.append("--out=" + paths[out_kind])
+    fmt = data.draw(st.sampled_from([None, "json", "csv"]))
+    if fmt:
+        argv.append("--format=" + fmt)
+    report = Path(paths["file"])
+    if report.exists():
+        report.unlink()
+
+    status, out, err = run_in_process(argv)
+
+    assert status in (0, 1, 2), (argv, status)
+    if status == 1:
+        assert out == ""
+        record = json.loads(err)
+        assert set(record) == {"error", "module"} and err.count("\n") == 1
+    if status == 2:
+        assert out == ""
+    assert report.exists() == (status == 0 and out_kind == "file"), argv
+    if report.exists() and command != "sweep":
+        json.loads(report.read_text(), parse_constant=reject_constant)
+
+
 class TestCompareAndPool:
     def test_compare_zero_capital(self, capsys):
         status, out, _ = run_cli(capsys, "compare", "--capital", "0",
@@ -214,14 +423,13 @@ class TestCompareAndPool:
         ("--subscription-fee", "inf"), ("--capital", "nan")])
     def test_compare_non_finite_fee_domain_error(self, capsys, flag, value):
         status, _, err = run_cli(capsys, "compare", flag, value)
-        assert status == 1
-        assert json.loads(err)["module"] == "compare"
+        assert status == 2
+        assert err == f"error: {flag[2:].replace('-', '_')} must be >= 0: {value}\n"
 
     def test_compare_negative_capital_domain_error(self, capsys):
         status, out, err = run_cli(capsys, "compare", "--capital", "-1")
-        assert status == 1 and out == ""
-        assert json.loads(err) == {"error": "capital must be >= 0",
-                                   "module": "compare"}
+        assert status == 2 and out == ""
+        assert err == "error: capital must be >= 0: -1.0\n"
 
     def test_pool_without_entrants_writes_strict_json(self, capsys, tmp_path):
         out_path = tmp_path / "p.json"
@@ -240,9 +448,8 @@ class TestCompareAndPool:
     def test_pool_nan_cost_domain_error(self, capsys):
         status, out, err = run_cli(capsys, "pool", "--size", "10", "--draws",
                                    "200", "--cost", "nan")
-        assert status == 1 and out == ""
-        assert json.loads(err) == {
-            "error": "marginal_cost must be finite and >= 0", "module": "pool"}
+        assert status == 2 and out == ""
+        assert err == "error: cost must be in [0, 1e+06]: nan\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["--size", "0"], "pool needs size >= 1"),
