@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .model import (
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
-    EffortCost,
     LINEAR_DEMAND,
     LINEAR_EFFORT,
     POWER_EFFORT,
@@ -125,19 +124,27 @@ def foc_residual(profile: DeveloperProfile, alpha: float, effort: float,
     return retained * rprime - marginal_effort_cost(profile.cost, effort)
 
 
-def _analytic_effort(tech: RevenueTechnology, cost: EffortCost,
-                     retained: float) -> Optional[float]:
-    """Closed-form interior optimum, or None when the pair has no closed form."""
+def responder(profile: DeveloperProfile) -> Optional[Callable[[float], tuple]]:
+    """One developer's closed-form best response, built once: a map from a
+    flat rate alpha to (effort, gross revenue, usage, net profit); None for
+    linear_demand. The one statement of (1-alpha)*A*beta*e^(beta-1) =
+    k*e^(m-1), agreeing bit for bit with ``reduced`` and ``effort_cost``."""
+    tech, cost = profile.tech, profile.cost
     if tech.family == LINEAR_DEMAND:
         return None
-    m = 2.0 if cost.family == QUADRATIC else cost.exponent
-    if tech.family == LINEAR_EFFORT or tech.beta == 1:
-        # (1-a)*A = k*e^(m-1)
-        base = retained * tech.scale / cost.k
-        return base ** (1.0 / (m - 1.0))
-    # (1-a)*A*beta*e^(beta-1) = k*e^(m-1)
-    base = retained * tech.scale * tech.beta / cost.k
-    return base ** (1.0 / (m - tech.beta))
+    scale, k, kappa, m = tech.scale, cost.k, tech.usage_per_revenue, cost.exponent
+    powered, quadratic = tech.family == POWER_EFFORT, cost.family == QUADRATIC
+    beta = tech.beta if powered else 1.0
+    power, half_k = 1.0 / ((2.0 if quadratic else m) - beta), 0.5 * k
+
+    def respond(alpha: float) -> tuple:
+        retained = 1.0 - alpha
+        e = (retained * scale * beta / k) ** power
+        gross = scale * e ** beta if powered else scale * e
+        phi = half_k * e ** 2 if quadratic else k * e ** m / m
+        return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
+
+    return respond
 
 
 def _reduced_profit(profile: DeveloperProfile, retained: float):
@@ -148,9 +155,9 @@ def _reduced_profit(profile: DeveloperProfile, retained: float):
 def _effort_upper_bound(profile: DeveloperProfile) -> float:
     """Twice the effort where marginal revenue meets marginal cost with the
     developer keeping everything (alpha=0)."""
-    e0 = _analytic_effort(profile.tech, profile.cost, 1.0)
-    if e0 is not None:
-        return max(2.0 * e0, 1e-6)
+    respond = responder(profile)
+    if respond is not None:
+        return max(2.0 * respond(0.0)[0], 1e-6)
     f = _reduced_profit(profile, 1.0)
     hi = expand_upper_bound(f, start=1.0, cap=_EFFORT_CAP)
     if hi >= _EFFORT_CAP and f(hi) > f(hi / 2):
@@ -185,10 +192,9 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
         return _package(profile, alpha, 0.0,
                         NUMERIC if force_numeric else ANALYTIC)
 
-    if not force_numeric:
-        e = _analytic_effort(profile.tech, profile.cost, retained)
-        if e is not None:
-            return _package(profile, alpha, e, ANALYTIC)
+    respond = None if force_numeric else responder(profile)
+    if respond is not None:
+        return _package(profile, alpha, respond(alpha)[0], ANALYTIC)
 
     hi = _effort_upper_bound(profile)
     f = _reduced_profit(profile, retained)

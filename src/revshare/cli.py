@@ -42,7 +42,7 @@ from .montecarlo import (
     risk_pooling_report,
     sweep_to_csv,
 )
-from .optimizer import MIN_GRID_STEP, optimize_alpha
+from .optimizer import MIN_GRID_STEP, max_rates, optimize_alpha
 from .participation import rate_grid, sweep
 from .settlement import (
     KIND_SALE,
@@ -226,7 +226,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         if n < 1:
             issues.append("empty sweep grid: alpha_max - alpha_min is below "
                           "one grid step")
-        cells = max(val("size"), 1) * (n + 1)
+        rates = n + 1 if cfg.command == "sweep" else max_rates(val("grid_step"))
+        cells = max(val("size"), 1) * rates
         if cells > MAX_POOL_CELLS:
             issues.append(f"size x rates must be <= {MAX_POOL_CELLS}: {cells}")
     if cfg.command == "sweep" and not val("canonical") and val("size") == 0:
@@ -549,8 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = config_from_args(args)
     except DomainError as exc:
-        print(json.dumps({"error": str(exc), "module": "cli"}), file=sys.stderr)
-        return 2
+        return _usage_error([str(exc)])
     if args.dump_config:
         issues = _output_issues(args.dump_config)
         if issues:

@@ -99,8 +99,8 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
     if isinstance(model, RsiModel):
         br = solve_effort_policy(profile, model.policy)
         e, r, q = br.effort, br.gross_revenue, br.usage
-        dev = developer_profit(profile, br, model.policy)
-        platform = entrant_profit(profile, br, model.policy, c)
+        dev = developer_profit(profile, br.net_profit, model.policy)
+        platform = entrant_profit(profile, r, q, model.policy, c)
         upfront = 0.0
     else:
         m, t, quota, lump = fee_schedule(model)

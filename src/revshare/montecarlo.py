@@ -197,18 +197,20 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     require_finite_nonneg("marginal_cost", marginal_cost)
     res = participate(population, alpha)
     by_id = {p.id: p for p in population}
-    entrants = [(by_id[i], res.responses[i]) for i in res.entrants]
+    cells = [(by_id[i], br.gross_revenue, br.usage) for i, br in res.responses.items()]
     # earnings are the profit with no serving cost; the serving cost is
     # minus the profit at a zero rate with no ad share
     policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)
-    earnings = np.array([entrant_profit(p, br, policy, 0.0)
-                         for p, br in entrants])
-    total_cost = -float(np.array([entrant_profit(p, br, free, marginal_cost)
-                                  for p, br in entrants]).sum())
-    deterministic = float(earnings.sum()) - total_cost
+    earnings = np.array([entrant_profit(*cell, policy, 0.0) for cell in cells])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = rng.random((draws, len(earnings))) < success_prob
-    samples = hits @ earnings - total_cost
+    with np.errstate(over="ignore"):  # an overflow is the DomainError below
+        total_cost = -float(np.array([entrant_profit(*cell, free, marginal_cost)
+                                      for cell in cells]).sum())
+        deterministic = float(earnings.sum()) - total_cost
+        samples = hits @ earnings - total_cost
+    if not (math.isfinite(deterministic) and np.isfinite(samples).all()):
+        raise DomainError("pool profit is not finite at this serving cost")
     mean = float(samples.mean())
     std = float(samples.std(ddof=0))
     p5 = float(np.percentile(samples, 5))

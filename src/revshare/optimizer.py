@@ -12,11 +12,12 @@ profits at a given rate.
 
 Profit over alpha can jump where entrants exit, so the search is a dense
 coarse grid (global coverage) followed by shrinking-grid refinement around
-the best bracket, each grid one ``sweep``.
+the best bracket, each grid one ``sweep``, ``max_rates`` rates at most.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,13 @@ from .participation import developer_profit, participate, rate_grid, sweep
 MIN_GRID_STEP = 1e-6
 # the refinement stops once its bracket is this narrow
 REFINE_TOL = 1e-8
+
+
+def max_rates(grid_step: float) -> int:
+    """The most rates ``optimize_alpha`` evaluates: n + 1 coarse, then 17 a
+    round while each round cuts the bracket, min(1, 2 * step) wide, by 8."""
+    rounds = math.ceil(math.log(min(1.0, 2 * grid_step) / REFINE_TOL, 8))
+    return round(1 / grid_step) + 1 + 17 * rounds
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4
     if reservation_cdf is not None:  # smoothed expected count
         ordered = sorted(params.population, key=lambda q: q.id)
         n_lo, n_mid, n_hi = (
-            sum(reservation_cdf(developer_profit(p, solve_effort(p, a)))
+            sum(reservation_cdf(developer_profit(p, solve_effort(p, a).net_profit))
                 for p in ordered) for a in swept.alphas)
     n_prime = (n_hi - n_lo) / (2 * h)
     m_prime = (m_hi - m_lo) / (2 * h)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .best_response import BestResponse, solve_effort, solve_effort_policy
+from .best_response import BestResponse, responder, solve_effort, solve_effort_policy
 from .model import (CommissionPolicy, DeveloperProfile, DomainError,
                     require_finite_nonneg)
 
@@ -29,28 +29,50 @@ class ParticipationResult:
     developer_surplus: float  # sum of entry_profits, in id order
 
 
-def developer_profit(profile: DeveloperProfile, response: BestResponse,
+def developer_profit(profile: DeveloperProfile, net: float,
                      policy: CommissionPolicy | None = None) -> float:
-    """Net profit including the developer's share of any ad revenue."""
-    pi = response.net_profit
+    """A developer's net profit plus their share of any ad revenue."""
     if profile.ad_revenue > 0:
         ad_share = policy.ad_share if policy is not None and policy.ad_share else 0.0
-        pi += (1.0 - ad_share) * profile.ad_revenue
-    return pi
+        net += (1.0 - ad_share) * profile.ad_revenue
+    return net
 
 
-def entrant_profit(profile: DeveloperProfile, response: BestResponse,
-                   policy: CommissionPolicy, marginal_cost: float) -> float:
+def entrant_profit(profile: DeveloperProfile, gross: float, usage: float,
+                   policy: CommissionPolicy, marginal_cost: float,
+                   alpha: Optional[float] = None) -> float:
     """The platform's profit from one entrant, defined only here: the
     commission on gross revenue, waived while the entrant's request volume
     is below ``policy.activity_threshold``, plus ``ad_share * ad_revenue``,
-    minus the serving cost ``marginal_cost * usage``."""
-    if response.usage < policy.activity_threshold:
+    minus the serving cost ``marginal_cost * usage``. A given ``alpha`` is
+    the flat rate charged in place of the policy's own."""
+    if usage < policy.activity_threshold:
         commission = 0.0  # below activity threshold: cost absorbed
+    elif alpha is None:
+        commission = policy.commission(gross)
     else:
-        commission = policy.commission(response.gross_revenue)
+        commission = alpha * gross
     return (commission + (policy.ad_share or 0.0) * profile.ad_revenue
-            - marginal_cost * response.usage)
+            - marginal_cost * usage)
+
+
+def _checked(population: Sequence[DeveloperProfile], alpha: Optional[float],
+             policy: CommissionPolicy | None):
+    """``participate``'s checks: the policy it charges at rate alpha, and the
+    profiles in developer-id order, where a duplicate id is an error."""
+    if policy is None:
+        policy = CommissionPolicy.flat(alpha)
+    elif not policy.is_flat:
+        if alpha is not None:
+            raise DomainError("a rate alpha applies to flat policies only")
+    elif policy.rate != alpha:
+        policy = CommissionPolicy.flat(alpha, policy.ad_share,
+                                       policy.activity_threshold)
+    ordered = sorted(population, key=attrgetter("id"))
+    for p, q in zip(ordered, ordered[1:]):
+        if p.id == q.id:
+            raise DomainError(f"duplicate developer id {p.id!r}")
+    return policy, ordered
 
 
 def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
@@ -64,36 +86,20 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
     at rate alpha. A degressive ``policy`` is applied as is, and alpha must
     then be None. Duplicate developer ids are a DomainError.
     """
-    if policy is None:
-        policy = CommissionPolicy.flat(alpha)
-    elif not policy.is_flat:
-        if alpha is not None:
-            raise DomainError("a rate alpha applies to flat policies only")
-    elif policy.rate != alpha:
-        policy = CommissionPolicy.flat(alpha, policy.ad_share,
-                                       policy.activity_threshold)
-    entrants: List[str] = []
+    policy, ordered = _checked(population, alpha, policy)
     profits: Dict[str, float] = {}
     responses: Dict[str, BestResponse] = {}
     platform = surplus = 0.0
-    last_id = None
-    for profile in sorted(population, key=attrgetter("id")):
-        dev_id = profile.id
-        if dev_id == last_id:
-            raise DomainError(f"duplicate developer id {dev_id!r}")
-        last_id = dev_id
-        if alpha is None:
-            br = solve_effort_policy(profile, policy)
-        else:
-            br = solve_effort(profile, alpha)
-        pi = developer_profit(profile, br, policy)
+    for profile in ordered:
+        br = solve_effort_policy(profile, policy)
+        pi = developer_profit(profile, br.net_profit, policy)
         if pi >= profile.reservation_profit:
-            entrants.append(dev_id)
-            profits[dev_id] = pi
-            responses[dev_id] = br
-            platform += entrant_profit(profile, br, policy, marginal_cost)
+            profits[profile.id] = pi
+            responses[profile.id] = br
+            platform += entrant_profit(profile, br.gross_revenue, br.usage,
+                                       policy, marginal_cost)
             surplus += pi
-    return ParticipationResult(entrants=tuple(entrants), count=len(entrants),
+    return ParticipationResult(entrants=tuple(profits), count=len(profits),
                                entry_profits=profits, responses=responses,
                                platform_profit=platform,
                                developer_surplus=surplus)
@@ -121,26 +127,42 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
           marginal_cost: float,
           policy: CommissionPolicy | None = None) -> SweepResult:
     """Evaluate entry, best responses and platform profit over an ascending
-    alpha grid, one ``participate`` pass per rate. A flat ``policy``
-    supplies the ad share and activity threshold charged at every rate.
-    Ties break toward the smallest alpha: the argmax is the first maximum."""
+    alpha grid, bit for bit as one ``participate`` pass per rate. A flat
+    ``policy`` supplies the ad share and activity threshold charged at every
+    rate. Ties break toward the smallest alpha: the argmax is the first maximum."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     require_finite_nonneg("marginal_cost", marginal_cost)
-    profits, counts, means, surplus = [], [], [], []
+    n = len(alpha_grid)
+    profits, surplus, counts = [0.0] * n, [0.0] * n, [0] * n
+    ordered = []
+    if n:  # participate's checks in its order: a rate, duplicate ids, the rest
+        policy, ordered = _checked(population, alpha_grid[0], policy)
+        for a in alpha_grid[1:]:
+            _checked((), a, policy)
+    for profile in ordered:
+        respond = responder(profile)
+        reservation = profile.reservation_profit
+        for j, a in enumerate(alpha_grid):
+            if respond is None:
+                br = solve_effort(profile, a)
+                gross, q, net = br.gross_revenue, br.usage, br.net_profit
+            else:
+                _, gross, q, net = respond(a)
+            pi = developer_profit(profile, net, policy)
+            if pi >= reservation:
+                profits[j] += entrant_profit(profile, gross, q, policy, marginal_cost, a)
+                surplus[j] += pi
+                counts[j] += 1
     best_a, best_pi = math.nan, -math.inf
-    for a in alpha_grid:
-        res = participate(population, a, policy, marginal_cost)
-        profits.append(res.platform_profit)
-        counts.append(res.count)
-        means.append(res.developer_surplus / res.count if res.count else 0.0)
-        surplus.append(res.developer_surplus)
-        if res.platform_profit > best_pi:
-            best_a, best_pi = a, res.platform_profit
+    for a, pi in zip(alpha_grid, profits):
+        if pi > best_pi:
+            best_a, best_pi = a, pi
     return SweepResult(alphas=tuple(alpha_grid),
                        platform_profits=tuple(profits),
                        entrant_counts=tuple(counts),
-                       mean_developer_profits=tuple(means),
+                       mean_developer_profits=tuple(
+                           s / c if c else 0.0 for s, c in zip(surplus, counts)),
                        total_developer_surplus=tuple(surplus),
                        argmax_alpha=best_a)
 

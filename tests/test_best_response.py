@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from revshare.best_response import (
     foc_residual,
+    reduced,
+    responder,
     solve_effort,
     solve_effort_policy,
     solve_price,
@@ -94,6 +97,35 @@ class TestSolveEffort:
                 br = solve_effort(profile, float(alpha))
                 if br.effort > 0:
                     assert abs(br.foc_residual) <= 1e-8
+
+
+class TestResponder:
+    def test_revenue_and_cost_match_the_model_bit_for_bit(self):
+        # the responder restates reduced() and effort_cost() for speed;
+        # both must give the same floats at the effort it chooses
+        profiles = random_profiles(30, seed=5)
+        profiles += [dataclasses.replace(p, tech=dataclasses.replace(
+            p.tech, usage_per_revenue=0.7)) for p in profiles[:10]]
+        profiles.append(DeveloperProfile(
+            id="b1", tech=RevenueTechnology(family="power", beta=1.0,
+                                            scale=1.3), cost=EffortCost(k=0.9)))
+        for profile in profiles:
+            respond = responder(profile)
+            for alpha in (0.0, 0.1, 0.37, 0.5, 0.999, 1.0):
+                e, gross, q, net = respond(alpha)
+                _, want_gross, want_q = reduced(profile.tech, e)
+                want_net = (1.0 - alpha) * want_gross - effort_cost(
+                    profile.cost, e)
+                assert (gross, q, net) == (want_gross, want_q, want_net)
+                assert math.copysign(1, net) == math.copysign(1, want_net)
+
+    def test_linear_demand_has_no_closed_form(self):
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology(
+                family="linear_demand", demand_base=1.0, demand_quality=0.5,
+                demand_slope=1.0, usage_per_revenue=1.0),
+            cost=EffortCost(k=1.0))
+        assert responder(profile) is None
 
 
 class TestSolvePrice:

@@ -153,6 +153,17 @@ class TestSweepCommand:
             assert status == 0, command
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["sweep", "--size", "1000", "--seed", "1", "--cost", "0.1",
+          "--grid-step", "0.001", "--no-timestamp"],
+         "d1cd083f93e00a23605f3f288672f4cfd742d932e04f7b44fd5744c4d1210c20"),
+        (["solve", "--size", "200", "--seed", "3", "--cost", "0.1"],
+         "99ff4e8dcaad0a72e98020257d176055adf3bacbf187b2c34eb09a0403844ed9")])
+    def test_seeded_golden(self, capsys, tmp_path, argv, digest):
+        out = tmp_path / "report.out"
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_no_population_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--cost", "0.1")
         assert status == 2
@@ -199,6 +210,17 @@ class TestPopulationBounds:
         status, _, err = run_cli(capsys, *argv)
         assert status == 2
         assert "size x rates must be <= 10000000" in err
+
+    def test_solve_budget_counts_refinement_rates(self, capsys, monkeypatch):
+        # 2 coarse rates + 9 rounds x 17 = 155 rates a developer at step 1
+        def no_population(spec):
+            raise AssertionError("population generated")
+
+        monkeypatch.setattr("revshare.cli.generate_population", no_population)
+        status, _, err = run_cli(capsys, "solve", "--size", "100000",
+                                 "--grid-step", "1")
+        assert status == 2
+        assert err == "error: size x rates must be <= 10000000: 15500000\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve"], ["sweep"], ["pool", "--draws", "1"]])
@@ -406,6 +428,9 @@ def test_every_flag_value_exits_cleanly(data, paths):
         assert set(record) == {"error", "module"} and err.count("\n") == 1
     if status == 2:
         assert out == ""
+        if not err.startswith("usage: "):  # argparse's own message aside
+            assert all(line.startswith("error: ")
+                       for line in err.splitlines()), err
     assert report.exists() == (status == 0 and out_kind == "file"), argv
     if report.exists() and command != "sweep":
         json.loads(report.read_text(), parse_constant=reject_constant)
@@ -526,6 +551,13 @@ class TestConfigHandling:
             status, _, err = run_cli(capsys, *argv)
             assert status == 2
             assert "cost = 'abc' is not a valid float" in err
+
+    def test_config_for_another_command_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, "solve", "--config",
+                                   str(CONFIGS / "sweep.ini"))
+        assert status == 2 and out == ""
+        assert err == ("error: config declares command 'sweep' but 'solve' "
+                       "was invoked\n")
 
     def test_cli_flags_override_config(self, capsys, tmp_path):
         path = tmp_path / "exp.ini"

@@ -200,6 +200,13 @@ class TestRiskPooling:
         assert report.mean_profit == 0.0
         assert report.coefficient_of_variation is None
 
+    def test_overflowing_serving_cost_rejected(self):
+        # c x usage overflows the summed serving cost to inf
+        pop = generate_population(PopulationSpec(size=5, seed=0))
+        with pytest.raises(DomainError, match="not finite"):
+            risk_pooling_report(pop, 0.6, 1.7976931348623157e308,
+                                success_prob=0.5, draws=10, seed=0)
+
     def test_reproducible(self, canonical_profile):
         kwargs = dict(alpha=0.5, marginal_cost=0.1, success_prob=0.5,
                       draws=1000, seed=3)

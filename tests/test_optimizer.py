@@ -13,6 +13,7 @@ from revshare.model import (
 )
 from revshare.optimizer import (
     marginal_decomposition,
+    max_rates,
     optimize_alpha,
     platform_profit,
     profit_curve,
@@ -226,6 +227,18 @@ class TestOptimizeAlphaMatchesReferenceLoops:
         assert len({pi for _, pi, _ in curve}) == 1  # a tie, not a slope
         report = self.assert_same(params, policy)
         assert report.alpha_star == 0.0 and report.diagnostics["refine_iterations"] > 0
+
+
+class TestMaxRates:
+    @pytest.mark.parametrize("step,rates", [(1e-3, 1103), (1.0, 155)])
+    def test_coarse_rates_plus_seventeen_a_round(self, step, rates):
+        assert max_rates(step) == rates
+
+    @pytest.mark.parametrize("step", [1.0, 0.3, 0.01, 1e-3])
+    def test_bounds_the_rates_evaluated(self, step):
+        diag = optimize_alpha(canonical_params(0.2), grid_step=step).diagnostics
+        assert max_rates(step) >= (diag["grid_size"]
+                                   + 17 * diag["refine_iterations"])
 
 
 class TestProfitCurve:

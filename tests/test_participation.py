@@ -1,8 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from revshare.model import DeveloperProfile, DomainError, EffortCost, RevenueTechnology
-from revshare.participation import participate, participation_curve, rate_grid
+from revshare.model import (CommissionPolicy, DeveloperProfile, DomainError,
+                            EffortCost, RevenueTechnology,
+                            require_finite_nonneg)
+from revshare.participation import (SweepResult, participate,
+                                    participation_curve, rate_grid, sweep)
 
 from conftest import random_profiles
 
@@ -107,3 +114,109 @@ class TestRateGrid:
         with pytest.raises(DomainError,
                            match="empty sweep grid: step larger than range"):
             rate_grid(0.2, 0.3, 0.5)
+
+
+def reference_sweep(population, alpha_grid, marginal_cost, policy=None):
+    """The scalar reference: one ``participate`` pass per rate."""
+    if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
+        raise DomainError("alpha grid must be sorted ascending")
+    require_finite_nonneg("marginal_cost", marginal_cost)
+    profits, counts, means, surplus = [], [], [], []
+    best_a, best_pi = math.nan, -math.inf
+    for a in alpha_grid:
+        res = participate(population, a, policy, marginal_cost)
+        profits.append(res.platform_profit)
+        counts.append(res.count)
+        means.append(res.developer_surplus / res.count if res.count else 0.0)
+        surplus.append(res.developer_surplus)
+        if res.platform_profit > best_pi:
+            best_a, best_pi = a, res.platform_profit
+    return SweepResult(alphas=tuple(alpha_grid),
+                       platform_profits=tuple(profits),
+                       entrant_counts=tuple(counts),
+                       mean_developer_profits=tuple(means),
+                       total_developer_surplus=tuple(surplus),
+                       argmax_alpha=best_a)
+
+
+@st.composite
+def developers(draw, dev_id):
+    """Every revenue and cost family; linear_demand stays bounded because
+    b^2 / (2d) <= 1/2 < k under quadratic cost."""
+    family = draw(st.sampled_from(["linear", "power", "linear_demand"]))
+    kappa = draw(st.one_of(st.none(), st.floats(0.1, 2.0)))
+    if family == "linear_demand":
+        tech = RevenueTechnology(
+            family, demand_base=draw(st.floats(0.0, 1.0)),
+            demand_quality=draw(st.floats(0.0, 1.0)),
+            demand_slope=draw(st.floats(1.0, 2.0)),
+            usage_per_revenue=0.5 if kappa is None else kappa)
+    else:
+        beta = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+        tech = RevenueTechnology(family, scale=draw(st.floats(0.5, 2.0)),
+                                 beta=beta if family == "power" else 1.0,
+                                 usage_per_revenue=kappa)
+    cost = draw(st.sampled_from(["quadratic", "power_convex"]))
+    return DeveloperProfile(
+        id=dev_id, tech=tech,
+        cost=EffortCost(cost, k=draw(st.floats(1.0, 2.0)),
+                        exponent=draw(st.floats(2.0, 4.0))
+                        if cost == "power_convex" else 2.0),
+        reservation_profit=draw(st.floats(0.0, 0.3)),
+        ad_revenue=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5))))
+
+
+@st.composite
+def populations(draw, max_size=6):
+    ids = draw(st.lists(st.text("abcdef", min_size=1, max_size=3),
+                        unique=True, max_size=max_size))
+    return [draw(developers(i)) for i in ids]
+
+
+flat_policies = st.one_of(st.none(), st.builds(
+    CommissionPolicy.flat, st.floats(0.0, 1.0),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+
+grids = st.lists(st.floats(0.0, 1.0), max_size=8).map(
+    lambda rates: sorted(rates + [0.0, 1.0]))
+
+
+class TestSweepMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(pop=populations(), grid=grids, cost=st.floats(0.0, 1.0),
+           policy=flat_policies)
+    def test_every_field_bit_for_bit(self, pop, grid, cost, policy):
+        fast = sweep(pop, grid, cost, policy)
+        ref = reference_sweep(pop, grid, cost, policy)
+        for field in dataclasses.fields(SweepResult):  # repr: exact floats
+            assert repr(getattr(fast, field.name)) == \
+                repr(getattr(ref, field.name)), field.name
+
+    @settings(max_examples=100, deadline=None)
+    @given(pop=populations(max_size=3), data=st.data(),
+           grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           policy=st.one_of(flat_policies, st.just(
+               CommissionPolicy.degressive([(0.0, 0.3), (1.0, 0.1)]))))
+    def test_invalid_input_raises_the_same_error(self, pop, data, grid,
+                                                 policy):
+        defects = data.draw(st.sets(st.sampled_from(
+            ["unsorted", "rate", "duplicate"]), min_size=1))
+        grid = sorted(grid)
+        if "unsorted" in defects:
+            grid = sorted(grid + [0.5, 0.6], reverse=True)
+        if "rate" in defects:
+            grid.insert(data.draw(st.integers(0, len(grid))),
+                        data.draw(st.sampled_from([-0.5, 1.5, math.nan])))
+        if "duplicate" in defects:
+            pop = pop + [make_dev(pop[0].id if pop else "a", 0.0)] * 2
+
+        def outcome(f):
+            try:
+                return repr(f(pop, grid, 0.1, policy))
+            except DomainError as exc:
+                return f"DomainError: {exc}"
+
+        fast = outcome(sweep)
+        assert fast.startswith("DomainError: ")
+        assert fast == outcome(reference_sweep)
