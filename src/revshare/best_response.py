@@ -24,7 +24,7 @@ from .model import (
     marginal_effort_cost,
     revenue,
 )
-from .numeric import central_diff, expand_upper_bound, golden_section_max
+from .numeric import expand_upper_bound, golden_section_max
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
@@ -55,7 +55,6 @@ class BestResponse:
 class PriceSolution:
     price: Optional[float]
     revenue: float
-    zero_demand: bool = False
 
 
 def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
@@ -65,7 +64,7 @@ def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
         raise DomainError("solve_price applies to the linear_demand family only")
     intercept = tech.demand_base + tech.demand_quality * effort
     if intercept <= 0:
-        return PriceSolution(price=None, revenue=0.0, zero_demand=True)
+        return PriceSolution(price=None, revenue=0.0)
     p = intercept / (2 * tech.demand_slope)
     return PriceSolution(price=p, revenue=intercept ** 2 / (4 * tech.demand_slope))
 
@@ -104,8 +103,7 @@ def _reduced_marginal_revenue(tech: RevenueTechnology, effort: float) -> float:
     return tech.demand_quality * intercept / (2 * tech.demand_slope)
 
 
-def foc_residual(profile: DeveloperProfile, alpha: float, effort: float,
-                 use_finite_differences: bool = False) -> float:
+def foc_residual(profile: DeveloperProfile, alpha: float, effort: float) -> float:
     """Stationarity gap (1-alpha)*R'(e) - phi'(e) of the reduced problem.
 
     Returns +inf when the marginal revenue itself diverges (power family at
@@ -114,10 +112,6 @@ def foc_residual(profile: DeveloperProfile, alpha: float, effort: float,
     if effort < 0:
         raise DomainError("effort must be >= 0")
     retained = 1.0 - alpha
-    if use_finite_differences:
-        rprime = central_diff(lambda e: reduced_revenue(profile.tech, e), effort)
-        cprime = central_diff(lambda e: effort_cost(profile.cost, e), effort)
-        return retained * rprime - cprime
     rprime = _reduced_marginal_revenue(profile.tech, effort)
     if math.isinf(rprime):
         return math.inf if retained > 0 else 0.0
@@ -217,7 +211,7 @@ def _invert_revenue(tech: RevenueTechnology, target: float) -> Optional[float]:
         return None
     root = math.sqrt(4 * tech.demand_slope * target)
     e = (root - tech.demand_base) / tech.demand_quality
-    return max(e, 0.0) if e is not None else None
+    return max(e, 0.0)
 
 
 def solve_effort_policy(profile: DeveloperProfile,

@@ -16,7 +16,6 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -125,18 +124,6 @@ class ExperimentConfig:
 
     def resolved(self, name: str):
         return self.params.get(name, SCHEMAS[self.command][name][1])
-
-
-def parse_currency(text: str) -> int:
-    """Decimal currency string to integer cents; rejects >2 decimals."""
-    try:
-        d = Decimal(text)
-    except InvalidOperation:
-        raise DomainError(f"not a currency amount: {text!r}")
-    cents = d * 100
-    if cents != cents.to_integral_value():
-        raise DomainError(f"more than 2 decimal places: {text!r}")
-    return int(cents)
 
 
 TYPES = {"int": int, "float": float, "str": str}  # bool flags take no value
@@ -482,8 +469,13 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers inherit the class
+    def error(self, message):  # argparse's own rejections, as error: lines
+        sys.exit(_usage_error([message]))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revshare",
         description="Revenue-sharing platform solver, comparator and "
                     "settlement calculator")

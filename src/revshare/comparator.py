@@ -86,9 +86,7 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
     """Developer and platform payoffs under one business model, with the
     developer's effort re-optimized for that model's fee structure."""
     require_finite_nonneg("platform_cost", platform_cost)
-    if math.isnan(capital):
-        raise DomainError("capital must not be NaN")
-    if capital < 0:
+    if not capital >= 0:  # NaN fails too
         raise DomainError("capital must be >= 0")
     if isinstance(model, HybridModel):
         best = max((evaluate_model(profile, member, platform_cost, capital)
@@ -156,16 +154,13 @@ def compare_models(profile: DeveloperProfile, models: Sequence,
 
 
 def capital_frontier(profile: DeveloperProfile, rsi_policy: CommissionPolicy,
-                     token_price: float, capital_grid: Sequence[float],
-                     platform_cost: float = 0.0) -> float:
-    """Smallest capital level at which the developer's preferred model
-    switches away from revenue sharing; +inf when it never does."""
-    if any(k2 < k1 for k1, k2 in zip(capital_grid, capital_grid[1:])):
-        raise DomainError("capital_grid must be sorted ascending")
-    models = [RsiModel(policy=rsi_policy),
-              PayPerTokenModel(token_price=token_price)]
-    for cap in capital_grid:
-        table = compare_models(profile, models, platform_cost, capital=cap)
-        if table.preferred_by_developer not in (None, "rsi"):
-            return cap
-    return math.inf
+                     token_price: float, platform_cost: float = 0.0) -> float:
+    """Smallest capital at which the developer switches from revenue sharing
+    to pay-per-token; +inf when they never do. Capital only gates entry, so
+    the switch comes at pay-per-token's upfront cost, if the developer
+    prefers it once capital is unlimited."""
+    table = compare_models(profile, [RsiModel(policy=rsi_policy),
+                                     PayPerTokenModel(token_price=token_price)],
+                           platform_cost)
+    ppt = table.rows[1]  # rows follow MODEL_ORDER
+    return ppt.upfront_cost if table.preferred_by_developer == ppt.model else math.inf

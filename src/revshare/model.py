@@ -76,10 +76,6 @@ class RevenueTechnology:
         if self.usage_per_revenue is not None:
             require_finite_nonneg("usage_per_revenue", self.usage_per_revenue)
 
-    @property
-    def needs_price(self) -> bool:
-        return self.family == LINEAR_DEMAND
-
 
 @dataclass(frozen=True)
 class EffortCost:
@@ -132,15 +128,6 @@ class PlatformParams:
         require_finite_nonneg("marginal_cost", marginal_cost)
         object.__setattr__(self, "marginal_cost", float(marginal_cost))
         object.__setattr__(self, "population", tuple(population))
-
-    def is_degenerate_market(self) -> bool:
-        """True when no developer can ever generate marginal revenue per
-        request above the serving cost. Reported, never raised: sweeps must
-        stay total over (alpha, c)."""
-        return not any(
-            max_marginal_revenue_per_request(p.tech) > self.marginal_cost
-            for p in self.population
-        )
 
 
 @dataclass(frozen=True)
@@ -222,12 +209,6 @@ class CommissionPolicy:
                 break
             total += r * band
         return total
-
-    def min_rate(self) -> float:
-        return self.rate if self.is_flat else min(r for _, r in self.breakpoints)
-
-    def max_rate(self) -> float:
-        return self.rate if self.is_flat else max(r for _, r in self.breakpoints)
 
 
 # --- Business models (section 5 comparison set) ---
@@ -343,15 +324,3 @@ def marginal_effort_cost(cost: EffortCost, effort: float) -> float:
     if cost.family == QUADRATIC:
         return cost.k * effort
     return cost.k * effort ** (cost.exponent - 1)
-
-
-def max_marginal_revenue_per_request(tech: RevenueTechnology) -> float:
-    """Supremum of dR/dq, used only to flag degenerate markets."""
-    if tech.usage_per_revenue is not None:
-        if tech.usage_per_revenue == 0:
-            return math.inf  # zero usage: serving is free, never degenerate
-        return 1.0 / tech.usage_per_revenue
-    if tech.family == LINEAR_EFFORT:
-        return tech.scale
-    # power with q=e: dR/dq = A*beta*e^(beta-1), unbounded near 0 for beta<1
-    return tech.scale if tech.beta == 1 else math.inf

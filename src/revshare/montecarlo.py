@@ -63,11 +63,6 @@ class Distribution:
             return float(rng.uniform(self.a, self.b))
         return float(rng.lognormal(self.a, self.b))
 
-    def mean(self) -> float:
-        if self.kind == UNIFORM:
-            return 0.5 * (self.a + self.b)
-        return math.exp(self.a + 0.5 * self.b ** 2)
-
     def cdf(self, x: float) -> float:
         if self.kind == UNIFORM:
             if self.b == self.a:

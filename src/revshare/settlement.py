@@ -62,22 +62,6 @@ class SettlementStatement:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @staticmethod
-    def from_dict(d: dict) -> "SettlementStatement":
-        return SettlementStatement(
-            app_id=d["app_id"], period=d["period"],
-            gross_cents=int(d["gross_cents"]),
-            commission_cents=int(d["commission_cents"]),
-            payout_cents=int(d["payout_cents"]),
-            effective_rate=float(d["effective_rate"]),
-            per_kind_cents={k: int(v) for k, v in d["per_kind_cents"].items()},
-            free_count=int(d.get("free_count", 0)),
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "SettlementStatement":
-        return SettlementStatement.from_dict(json.loads(s))
-
 
 def _round_half_up(x: Decimal) -> int:
     return int(x.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
@@ -171,10 +155,18 @@ def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
     """Parse a CSV ledger (app_id,period,kind,amount_cents[,premium]).
     Returns transactions plus per-row premium flags (default True). Columns
     may come in any order and blank lines are skipped; a row whose cell
-    count differs from the header's is rejected. Errors name the physical
-    line. Equal app ids, periods and kinds share one string object."""
+    count differs from the header's is rejected, as is a cell over csv's
+    field size limit. Errors name the physical line. Equal app ids, periods
+    and kinds share one string object."""
     import csv
     rows = csv.reader(lines)
+    try:
+        return _parse_rows(rows)
+    except csv.Error as exc:
+        raise DomainError(f"line {rows.line_num}: {exc}") from None
+
+
+def _parse_rows(rows) -> Tuple[List[Transaction], List[bool]]:
     header = next(rows, [])
     column = {name: i for i, name in enumerate(header)}
     missing = [f for f in LEDGER_FIELDS if f not in column]
@@ -203,5 +195,16 @@ def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
 
 
 def read_ledger(path) -> Tuple[List[Transaction], List[bool]]:
-    with open(path, newline="") as fh:
-        return parse_ledger(fh)
+    """Parse a UTF-8 ledger file; a line that is not UTF-8 is a DomainError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse_ledger(fh)
+    except UnicodeDecodeError:  # raised per chunk: find the line
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DomainError(
+                        f"line {number}: not UTF-8 ({exc.reason})") from None
+        raise

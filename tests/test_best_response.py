@@ -7,6 +7,7 @@ import pytest
 from revshare.best_response import (
     foc_residual,
     reduced,
+    reduced_revenue,
     responder,
     solve_effort,
     solve_effort_policy,
@@ -20,6 +21,7 @@ from revshare.model import (
     RevenueTechnology,
     effort_cost,
 )
+from revshare.numeric import central_diff
 
 from conftest import grid_best_effort, random_profiles
 
@@ -154,13 +156,19 @@ class TestSolvePrice:
                                  demand_quality=0, demand_slope=1,
                                  usage_per_revenue=1.0)
         sol = solve_price(tech, 2.0)
-        assert sol.zero_demand
         assert sol.price is None
         assert sol.revenue == 0.0
 
     def test_wrong_family(self):
         with pytest.raises(DomainError):
             solve_price(RevenueTechnology(family="linear"), 1.0)
+
+
+def fd_residual(profile, alpha, effort):
+    """(1-alpha)*R'(e) - phi'(e) by central differences of the model."""
+    rprime = central_diff(lambda e: reduced_revenue(profile.tech, e), effort)
+    cprime = central_diff(lambda e: effort_cost(profile.cost, e), effort)
+    return (1.0 - alpha) * rprime - cprime
 
 
 class TestFocResidual:
@@ -171,9 +179,8 @@ class TestFocResidual:
     def test_away_from_optimum(self, canonical_profile):
         # (1-0.5)*1 - 0.3, confirmed by finite differences
         assert foc_residual(canonical_profile, 0.5, 0.3) == pytest.approx(0.2)
-        fd = foc_residual(canonical_profile, 0.5, 0.3,
-                          use_finite_differences=True)
-        assert fd == pytest.approx(0.2, abs=1e-5)
+        assert fd_residual(canonical_profile, 0.5, 0.3) == pytest.approx(
+            0.2, abs=1e-5)
 
     def test_unbounded_marginal_at_zero(self):
         profile = DeveloperProfile(
@@ -186,8 +193,7 @@ class TestFocResidual:
             for alpha in (0.2, 0.6):
                 e = max(solve_effort(profile, alpha).effort, 0.05)
                 a = foc_residual(profile, alpha, e * 1.5)
-                fd = foc_residual(profile, alpha, e * 1.5,
-                                  use_finite_differences=True)
+                fd = fd_residual(profile, alpha, e * 1.5)
                 assert fd == pytest.approx(a, rel=1e-5, abs=1e-7)
 
 

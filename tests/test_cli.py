@@ -15,7 +15,6 @@ from revshare.cli import (
     dump_config,
     load_config,
     main,
-    parse_currency,
     validate,
 )
 from revshare.model import DomainError
@@ -90,6 +89,19 @@ class TestSettleCommand:
             assert status == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("body,error", [
+        (b"a\xff,p,sale,1\n", "line 3: not UTF-8 (invalid start byte)"),
+        (b"x" * 131_073 + b",p,sale,1\n",
+         "line 3: field larger than field limit (131072)")])
+    def test_malformed_ledger_bytes_domain_error(self, capsys, tmp_path,
+                                                 body, error):
+        ledger = tmp_path / "bad.csv"
+        ledger.write_bytes(b"app_id,period,kind,amount_cents\na,p,sale,1\n"
+                           + body)
+        status, out, err = run_cli(capsys, "settle", "--ledger", str(ledger))
+        assert status == 1 and out == ""
+        assert json.loads(err) == {"error": error, "module": "settle"}
 
     def test_infinite_degressive_threshold_usage_error(self, capsys, tmp_path):
         ledger = str(CONFIGS / "sample_ledger.csv")
@@ -334,6 +346,16 @@ class TestDeclaredBounds:
                     assert not any(i.startswith((f"{name} must", f"{name} out"))
                                    for i in validate(cfg)), (command, name, v)
 
+    @pytest.mark.parametrize("argv,error", [
+        (["solve", "--size", "nan"],
+         "error: argument --size: invalid int value: 'nan'"),
+        (["solve", "--format", "xml"], "error: argument --format: invalid choice"),
+        ([], "error: the following arguments are required: command")])
+    def test_argparse_rejection_is_one_error_line(self, argv, error):
+        status, out, err = run_in_process(argv)
+        assert (status, out) == (2, "")
+        assert err.startswith(error) and err.count("\n") == 1, err
+
     def test_help_states_the_declared_range(self, capsys):
         with pytest.raises(SystemExit):
             main(["pool", "--help"])
@@ -428,9 +450,8 @@ def test_every_flag_value_exits_cleanly(data, paths):
         assert set(record) == {"error", "module"} and err.count("\n") == 1
     if status == 2:
         assert out == ""
-        if not err.startswith("usage: "):  # argparse's own message aside
-            assert all(line.startswith("error: ")
-                       for line in err.splitlines()), err
+        assert all(line.startswith("error: ")
+                   for line in err.splitlines()), err
     assert report.exists() == (status == 0 and out_kind == "file"), argv
     if report.exists() and command != "sweep":
         json.loads(report.read_text(), parse_constant=reject_constant)
@@ -574,18 +595,3 @@ class TestConfigHandling:
                                "--out", "r.json")
         assert status == 0
         assert (tmp_path / "r.json").exists()
-
-
-class TestCurrencyParsing:
-    def test_two_decimals_ok(self):
-        assert parse_currency("20.00") == 2000
-        assert parse_currency("0.5") == 50
-        assert parse_currency("3") == 300
-
-    def test_three_decimals_rejected(self):
-        with pytest.raises(DomainError):
-            parse_currency("1.005")
-
-    def test_garbage_rejected(self):
-        with pytest.raises(DomainError):
-            parse_currency("twenty")

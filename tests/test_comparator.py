@@ -51,7 +51,7 @@ class TestEvaluateModel:
     @pytest.mark.parametrize("model", [RSI60, PayPerTokenModel(token_price=0.2),
                                        HybridModel(choices=(RSI60,))])
     def test_negative_capital_rejected(self, canonical_profile, model):
-        for capital in (-1.0, -1e-12, -math.inf):
+        for capital in (-1.0, -1e-12, -math.inf, math.nan):
             with pytest.raises(DomainError, match="capital must be >= 0"):
                 evaluate_model(canonical_profile, model, 0.1, capital)
         assert evaluate_model(canonical_profile, model, 0.1, math.inf).entered
@@ -218,24 +218,38 @@ class TestComparisonTable:
 class TestCapitalFrontier:
     def test_threshold_at_period_cost(self, canonical_profile):
         # PPT beats RSI(0.6) here: pi_ppt = 0.32 > 0.08; period cost 0.16
-        grid = [round(0.01 * i, 2) for i in range(0, 41)]
         threshold = capital_frontier(canonical_profile,
                                      CommissionPolicy.flat(0.6),
-                                     token_price=0.2, capital_grid=grid,
-                                     platform_cost=0.2)
+                                     token_price=0.2, platform_cost=0.2)
         assert threshold == pytest.approx(0.16, abs=1e-9)
 
     def test_rsi_dominant_never_switches(self, canonical_profile):
         # alpha=0 RSI weakly dominates any positively priced model
         threshold = capital_frontier(canonical_profile,
                                      CommissionPolicy.flat(0.0),
-                                     token_price=0.2,
-                                     capital_grid=[0.0, 0.5, 1.0, 10.0])
+                                     token_price=0.2)
         assert math.isinf(threshold)
 
     def test_all_prefer_rsi_at_zero_capital(self):
         pop = generate_population(PopulationSpec(size=20, seed=99))
         for profile in pop:
             t = capital_frontier(profile, CommissionPolicy.flat(0.3),
-                                 token_price=0.1, capital_grid=[0.0])
-            assert math.isinf(t)  # PPT not capital-feasible at K=0
+                                 token_price=0.1)
+            assert t > 0  # PPT not capital-feasible at K=0
+
+    def test_smallest_capital_preferring_pay_per_token(self):
+        # preference is monotone in capital, so the frontier is the smallest
+        # capital preferring PPT if it prefers PPT and 2e-9 less does not
+        # (capital feasibility absorbs 1e-9 of optimizer noise)
+        policy = CommissionPolicy.flat(0.5)
+        models = [RsiModel(policy=policy), PayPerTokenModel(token_price=0.1)]
+        frontiers = []
+        for profile in generate_population(PopulationSpec(size=40, seed=3)):
+            t = capital_frontier(profile, policy, token_price=0.1,
+                                 platform_cost=0.05)
+            picks = [compare_models(profile, models, 0.05, capital=k)
+                     .preferred_by_developer for k in (t, max(0.0, t - 2e-9))]
+            assert [p == "pay_per_token" for p in picks] == [math.isfinite(t),
+                                                            False]
+            frontiers.append(t)
+        assert 0 < sum(map(math.isinf, frontiers)) < len(frontiers)

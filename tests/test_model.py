@@ -34,7 +34,7 @@ class TestRevenue:
                      RevenueTechnology(family="linear_demand", demand_base=0.0,
                                        demand_quality=2.0, demand_slope=1.0,
                                        usage_per_revenue=1.0)):
-            price = 1.0 if tech.needs_price else None
+            price = 1.0 if tech.family == "linear_demand" else None
             assert revenue(tech, 0.0, price) == 0.0
 
     def test_power_effort_example(self):
@@ -183,17 +183,6 @@ class TestCommissionPolicy:
         p = CommissionPolicy.degressive([(0.0, 0.30), (100.0, 0.25),
                                          (500.0, 0.15)])
         assert abs(p.commission(g + eps) - p.commission(g)) <= 0.30 * eps + 1e-9
-
-
-class TestMarketDegeneracy:
-    def test_flagged_not_rejected(self):
-        dev = DeveloperProfile(
-            id="d", tech=RevenueTechnology(family="linear", scale=0.5),
-            cost=EffortCost())
-        params = PlatformParams(marginal_cost=2.0, population=[dev])
-        assert params.is_degenerate_market()
-        viable = PlatformParams(marginal_cost=0.1, population=[dev])
-        assert not viable.is_degenerate_market()
 
 
 class TestBusinessModelValidation:

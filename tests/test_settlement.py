@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from revshare.model import CommissionPolicy, DomainError
 from revshare.settlement import (
-    SettlementStatement,
     Transaction,
     format_cents,
     parse_ledger,
+    read_ledger,
     settle,
     settle_freemium,
 )
@@ -205,18 +206,14 @@ class TestConservationAndRoundTrip:
         assert settle([tx(lo)], policy).commission_cents <= \
             settle([tx(hi)], policy).commission_cents
 
-    def test_wire_round_trip(self):
-        stmt = settle([tx(9999), tx(123, kind="ad")],
-                      CommissionPolicy.flat(0.3, ad_share=0.2))
-        assert SettlementStatement.from_json(stmt.to_json()) == stmt
-
     def test_effective_rate_within_policy_band(self):
         policy = CommissionPolicy.degressive([(0.0, 0.30), (100.0, 0.10)])
+        rates = [rate for _, rate in policy.breakpoints]
         for gross in (100, 5000, 10_000, 123_456):
             stmt = settle([tx(gross)], policy)
             slack = 0.5 / max(stmt.gross_cents, 1)  # aggregate rounding
-            assert policy.min_rate() - slack <= stmt.effective_rate \
-                <= policy.max_rate() + slack
+            assert min(rates) - slack <= stmt.effective_rate \
+                <= max(rates) + slack
 
 
 class TestLedgerParsing:
@@ -264,6 +261,32 @@ class TestLedgerParsing:
             parse_ledger(["app_id,period,kind,amount_cents", "a,p,sale,1", "",
                           row, "a,p,sale,2"])
         assert str(err.value) == message
+
+    def test_file_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes("app_id,period,kind,amount_cents\n"
+                         "caf\u00e9,2025-01,sale,5\n".encode("utf-8"))
+        txs, _ = read_ledger(path)
+        assert txs[0].app_id == "caf\u00e9"
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        # past the first 8 KiB, so the decoder fails on a later chunk
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(b"app_id,period,kind,amount_cents\n"
+                         + b"a,p,sale,1\n" * 5000 + b"a\xff,p,sale,1\n")
+        with pytest.raises(DomainError) as err:
+            read_ledger(path)
+        assert str(err.value) == "line 5002: not UTF-8 (invalid start byte)"
+
+    def test_cell_over_field_limit_names_the_line(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        limit = csv.field_size_limit()
+        path.write_text("app_id,period,kind,amount_cents\na,p,sale,1\n"
+                        + "x" * (limit + 1) + ",p,sale,1\n")
+        with pytest.raises(DomainError) as err:
+            read_ledger(path)
+        assert str(err.value) == \
+            f"line 3: field larger than field limit ({limit})"
 
 
 def _half_up(x: Fraction) -> int:
