@@ -118,11 +118,13 @@ def foc_residual(profile: DeveloperProfile, alpha: float, effort: float) -> floa
     return retained * rprime - marginal_effort_cost(profile.cost, effort)
 
 
-def responder(profile: DeveloperProfile) -> Optional[Callable[[float], tuple]]:
+def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
     """One developer's closed-form best response, built once: a map from a
     flat rate alpha to (effort, gross revenue, usage, net profit); None for
-    linear_demand. The one statement of (1-alpha)*A*beta*e^(beta-1) =
-    k*e^(m-1), agreeing bit for bit with ``reduced`` and ``effort_cost``."""
+    linear_demand. Alpha is a float, or a float64 row of rates with
+    ``pw=participation.row_pow``. The one statement of
+    (1-alpha)*A*beta*e^(beta-1) = k*e^(m-1), agreeing bit for bit with
+    ``reduced`` and ``effort_cost``."""
     tech, cost = profile.tech, profile.cost
     if tech.family == LINEAR_DEMAND:
         return None
@@ -131,11 +133,11 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[[float], tuple]]:
     beta = tech.beta if powered else 1.0
     power, half_k = 1.0 / ((2.0 if quadratic else m) - beta), 0.5 * k
 
-    def respond(alpha: float) -> tuple:
+    def respond(alpha, pw=pow) -> tuple:
         retained = 1.0 - alpha
-        e = (retained * scale * beta / k) ** power
-        gross = scale * e ** beta if powered else scale * e
-        phi = half_k * e ** 2 if quadratic else k * e ** m / m
+        e = pw(retained * scale * beta / k, power)
+        gross = scale * pw(e, beta) if powered else scale * e
+        phi = half_k * pw(e, 2) if quadratic else k * pw(e, m) / m
         return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
 
     return respond

@@ -267,9 +267,11 @@ def _output_issues(path: str) -> List[str]:
 def _write_atomic(path: str, text: str) -> None:
     path = _resolve_output(path)
     d = os.path.dirname(path) or "."
+    os.umask(umask := os.umask(0))  # os.umask reads the mask only by setting it
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".revshare-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

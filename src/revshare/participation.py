@@ -4,7 +4,8 @@ profit from the developers who enter.
 
 Entry uses a weak inequality (profit >= reservation) so the zero-reservation
 boundary case enters. ``sweep`` is the one walk of a population over a set
-of rates; every multi-rate evaluation reads it.
+of rates; every multi-rate evaluation reads it, one developer at a time as
+float64 rows over the grid: numpy for + - * /, Python's libm pow for **.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .best_response import BestResponse, responder, solve_effort, solve_effort_policy
 from .model import (CommissionPolicy, DeveloperProfile, DomainError,
@@ -31,10 +34,10 @@ class ParticipationResult:
 
 def developer_profit(profile: DeveloperProfile, net: float,
                      policy: CommissionPolicy | None = None) -> float:
-    """A developer's net profit plus their share of any ad revenue."""
+    """A developer's net profit, a float or a row, plus their ad-revenue share."""
     if profile.ad_revenue > 0:
         ad_share = policy.ad_share if policy is not None and policy.ad_share else 0.0
-        net += (1.0 - ad_share) * profile.ad_revenue
+        net = net + (1.0 - ad_share) * profile.ad_revenue
     return net
 
 
@@ -45,13 +48,11 @@ def entrant_profit(profile: DeveloperProfile, gross: float, usage: float,
     commission on gross revenue, waived while the entrant's request volume
     is below ``policy.activity_threshold``, plus ``ad_share * ad_revenue``,
     minus the serving cost ``marginal_cost * usage``. A given ``alpha`` is
-    the flat rate charged in place of the policy's own."""
-    if usage < policy.activity_threshold:
-        commission = 0.0  # below activity threshold: cost absorbed
-    elif alpha is None:
-        commission = policy.commission(gross)
-    else:
-        commission = alpha * gross
+    the flat rate charged in place of the policy's own. ``gross``, ``usage``
+    and ``alpha`` may also be float64 rows, one cell per rate."""
+    charged = usage >= policy.activity_threshold  # below it: cost absorbed
+    commission = (policy.commission(gross) if alpha is None
+                  else alpha * gross) * charged  # times False is +0.0
     return (commission + (policy.ad_share or 0.0) * profile.ad_revenue
             - marginal_cost * usage)
 
@@ -105,6 +106,12 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
                                developer_surplus=surplus)
 
 
+def row_pow(row: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` for each x of a float64 row by Python's own pow (libm), bit
+    for bit as the scalar path; numpy's ``x ** 2`` is ``x * x``, which is not."""
+    return row if y == 1 else np.array([x ** y for x in row.tolist()])
+
+
 def rate_grid(lo: float, hi: float, step: float) -> List[float]:
     """n + 1 evenly spaced rates from lo to hi, n = round((hi - lo) / step)."""
     n = int(round((hi - lo) / step))
@@ -129,31 +136,36 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     """Evaluate entry, best responses and platform profit over an ascending
     alpha grid, bit for bit as one ``participate`` pass per rate. A flat
     ``policy`` supplies the ad share and activity threshold charged at every
-    rate. Ties break toward the smallest alpha: the argmax is the first maximum."""
+    rate. Ties break toward the smallest alpha: the argmax is the first maximum.
+    Each developer is one row over the grid (``responder`` with ``row_pow``;
+    ``solve_effort`` per rate for linear_demand) whose entrant cells are added
+    to the per-rate totals in developer-id order, as ``participate`` adds them."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     require_finite_nonneg("marginal_cost", marginal_cost)
     n = len(alpha_grid)
-    profits, surplus, counts = [0.0] * n, [0.0] * n, [0] * n
+    profits, surplus, counts = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     ordered = []
     if n:  # participate's checks in its order: a rate, duplicate ids, the rest
         policy, ordered = _checked(population, alpha_grid[0], policy)
         for a in alpha_grid[1:]:
             _checked((), a, policy)
+    alphas = np.array(alpha_grid, dtype=float)
     for profile in ordered:
         respond = responder(profile)
-        reservation = profile.reservation_profit
-        for j, a in enumerate(alpha_grid):
-            if respond is None:
-                br = solve_effort(profile, a)
-                gross, q, net = br.gross_revenue, br.usage, br.net_profit
-            else:
-                _, gross, q, net = respond(a)
-            pi = developer_profit(profile, net, policy)
-            if pi >= reservation:
-                profits[j] += entrant_profit(profile, gross, q, policy, marginal_cost, a)
-                surplus[j] += pi
-                counts[j] += 1
+        if respond is None:
+            cells = [solve_effort(profile, a) for a in alpha_grid]
+            gross, q, net = (np.array([getattr(br, f) for br in cells]) for f in
+                             ("gross_revenue", "usage", "net_profit"))
+        else:
+            _, gross, q, net = respond(alphas, row_pow)
+        pi = developer_profit(profile, net, policy)
+        enter = pi >= profile.reservation_profit
+        platform = entrant_profit(profile, gross, q, policy, marginal_cost, alphas)
+        np.add(profits, platform, out=profits, where=enter)
+        np.add(surplus, pi, out=surplus, where=enter)
+        counts += enter
+    profits, surplus, counts = profits.tolist(), surplus.tolist(), counts.tolist()
     best_a, best_pi = math.nan, -math.inf
     for a, pi in zip(alpha_grid, profits):
         if pi > best_pi:

@@ -195,9 +195,10 @@ def _parse_rows(rows) -> Tuple[List[Transaction], List[bool]]:
 
 
 def read_ledger(path) -> Tuple[List[Transaction], List[bool]]:
-    """Parse a UTF-8 ledger file; a line that is not UTF-8 is a DomainError."""
+    """Parse a UTF-8 ledger file (a leading BOM is skipped); a line that is
+    not UTF-8 is a DomainError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return parse_ledger(fh)
     except UnicodeDecodeError:  # raised per chunk: find the line
         with open(path, "rb") as fh:

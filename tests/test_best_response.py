@@ -22,6 +22,7 @@ from revshare.model import (
     effort_cost,
 )
 from revshare.numeric import central_diff
+from revshare.participation import row_pow
 
 from conftest import grid_best_effort, random_profiles
 
@@ -120,6 +121,30 @@ class TestResponder:
                     profile.cost, e)
                 assert (gross, q, net) == (want_gross, want_q, want_net)
                 assert math.copysign(1, net) == math.copysign(1, want_net)
+
+    def test_row_pow_is_pythons_pow(self):
+        # numpy's x ** 2 is x * x, 0.8079667078941465 here; libm rounds down
+        x = 0.8988696834881831
+        assert row_pow(np.array([x]), 2).tolist() == [x ** 2] == \
+            [0.8079667078941464]
+
+    @pytest.mark.parametrize("family,beta,cost", [
+        ("linear", 1.0, EffortCost(k=1.3)),
+        ("power", 0.37, EffortCost(k=0.8)),
+        ("power", 0.6, EffortCost("power_convex", k=1.1, exponent=2.7)),
+        ("linear", 1.0, EffortCost("power_convex", k=1.7, exponent=3.2))])
+    def test_row_matches_scalar_bit_for_bit(self, family, beta, cost):
+        alphas = [i / 1000 for i in range(1001)]
+        for kappa in (None, 0.7):
+            respond = responder(DeveloperProfile(
+                id="d", tech=RevenueTechnology(family, scale=1.9, beta=beta,
+                                               usage_per_revenue=kappa),
+                cost=cost))
+            rows = respond(np.array(alphas), row_pow)
+            cells = list(zip(*map(respond, alphas)))
+            for row, column in zip(rows, cells):
+                assert list(map(float.hex, row.tolist())) == \
+                    list(map(float.hex, column))
 
     def test_linear_demand_has_no_closed_form(self):
         profile = DeveloperProfile(

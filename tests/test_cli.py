@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,24 @@ class TestSolveCommand:
         payload = json.loads(out_path.read_text())
         assert payload["alpha_star"] == pytest.approx(0.7, abs=1e-6)
         assert payload["analytic_alpha"] == pytest.approx(0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path, umask,
+                                            flag):
+        out_path, plain = tmp_path / "out", tmp_path / "plain"
+        out_path.write_text("an older file is replaced\n")
+        old = os.umask(umask)
+        try:
+            status, _, _ = run_cli(capsys, "solve", "--canonical", flag,
+                                   str(out_path))
+            plain.write_text("")  # the mode a plain open(path, "w") gives
+        finally:
+            os.umask(old)
+        assert status == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == \
+            stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
 
 
 class TestSettleCommand:

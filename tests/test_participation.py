@@ -193,6 +193,27 @@ class TestSweepMatchesScalarReference:
             assert repr(getattr(fast, field.name)) == \
                 repr(getattr(ref, field.name)), field.name
 
+    @pytest.mark.parametrize("grid", [[], [0.25], [0.0, 0.3, 0.3, 0.3, 1.0]],
+                             ids=["empty", "one-rate", "repeated-rates"])
+    def test_edge_grids_hold_python_numbers(self, grid):
+        # a numpy scalar would print as np.float64(...) in every output
+        pop = random_profiles(8, seed=3, reservation_hi=0.2) + [
+            DeveloperProfile(id="z", tech=RevenueTechnology(
+                "linear_demand", demand_base=0.6, demand_quality=0.4,
+                usage_per_revenue=0.5), cost=EffortCost(k=1.2),
+                ad_revenue=0.2)]
+        policy = CommissionPolicy.flat(0.5, ad_share=0.3,
+                                       activity_threshold=0.2)
+        fast = sweep(pop, grid, 0.05, policy)
+        ref = reference_sweep(pop, grid, 0.05, policy)  # participate's floats
+        assert repr(fast) == repr(ref)
+        for result in (fast, ref):
+            for name in ("platform_profits", "mean_developer_profits",
+                         "total_developer_surplus"):
+                assert all(type(x) is float for x in getattr(result, name))
+            assert all(type(n) is int for n in result.entrant_counts)
+            assert type(result.argmax_alpha) is float
+
     @settings(max_examples=100, deadline=None)
     @given(pop=populations(max_size=3), data=st.data(),
            grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),

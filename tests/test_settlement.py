@@ -269,6 +269,21 @@ class TestLedgerParsing:
         txs, _ = read_ledger(path)
         assert txs[0].app_id == "caf\u00e9"
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet CSV exports often start with a UTF-8 byte-order mark
+        text = ("app_id,period,kind,amount_cents,premium\n"
+                "a,2025-01,sale,9999,1\na,2025-01,ad,250,0\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        statements = []
+        for path in (plain, marked):
+            txs, flags = read_ledger(path)
+            statements.append(settle_freemium(txs, FLAT25, flags).to_dict())
+        assert statements[0] == statements[1]
+        assert statements[0]["commission_cents"] == 2500
+
     def test_non_utf8_byte_names_the_line(self, tmp_path):
         # past the first 8 KiB, so the decoder fails on a later chunk
         path = tmp_path / "ledger.csv"
