@@ -26,7 +26,6 @@ from .model import (
     SubscriptionModel,
     effort_cost,
     revenue,
-    usage,
 )
 from .best_response import (
     BestResponse,

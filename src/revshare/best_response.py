@@ -2,7 +2,7 @@
 to maximize retained revenue minus effort cost at a given commission rate.
 
 Closed forms are used wherever the family pair admits one; everything else
-falls back to golden-section search on the concave reduced profit.
+falls back to golden-section search on the reduced profit.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .model import (
     marginal_effort_cost,
     revenue,
 )
-from .numeric import expand_upper_bound, golden_section_max
+from .numeric import SEARCH_CAP, expand_upper_bound, golden_section_max
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
-
-_EFFORT_CAP = 1e6
 
 
 class NonConvergenceError(RuntimeError):
@@ -83,11 +81,6 @@ def reduced(tech: RevenueTechnology,
     if tech.usage_per_revenue is not None:
         return price, gross, tech.usage_per_revenue * gross
     return price, gross, effort
-
-
-def reduced_revenue(tech: RevenueTechnology, effort: float) -> float:
-    """Revenue as a function of effort alone, price already optimized out."""
-    return reduced(tech, effort)[1]
 
 
 def _reduced_marginal_revenue(tech: RevenueTechnology, effort: float) -> float:
@@ -145,18 +138,15 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
 
 def _reduced_profit(profile: DeveloperProfile, retained: float):
     tech, cost = profile.tech, profile.cost
-    return lambda e: retained * reduced_revenue(tech, e) - effort_cost(cost, e)
+    return lambda e: retained * reduced(tech, e)[1] - effort_cost(cost, e)
 
 
 def _effort_upper_bound(profile: DeveloperProfile) -> float:
-    """Twice the effort where marginal revenue meets marginal cost with the
-    developer keeping everything (alpha=0)."""
-    respond = responder(profile)
-    if respond is not None:
-        return max(2.0 * respond(0.0)[0], 1e-6)
+    """An effort past which the developer's profit falls even when they keep
+    everything (alpha=0)."""
     f = _reduced_profit(profile, 1.0)
-    hi = expand_upper_bound(f, start=1.0, cap=_EFFORT_CAP)
-    if hi >= _EFFORT_CAP and f(hi) > f(hi / 2):
+    hi = expand_upper_bound(f)
+    if hi >= SEARCH_CAP and f(hi) > f(hi / 2):
         raise NonConvergenceError(
             "developer problem appears unbounded (marginal revenue never "
             "falls below marginal cost)")
@@ -174,19 +164,13 @@ def _package(profile: DeveloperProfile, alpha: float, e: float,
 
 def solve_effort(profile: DeveloperProfile, alpha: float,
                  force_numeric: bool = False) -> BestResponse:
-    """Best response to a flat commission rate alpha."""
+    """Best response to a flat commission rate alpha: ``responder``'s closed
+    form where the family pair has one, else a golden-section search."""
     if not (0 <= alpha <= 1):
         raise DomainError("alpha out of [0,1]")
     retained = 1.0 - alpha
     if retained == 0:
         return _package(profile, alpha, 0.0, ANALYTIC)
-
-    # corner: retained marginal revenue at 0 already at or below the
-    # marginal cost there, which is 0 for every cost family (exponent >= 2)
-    mr0 = _reduced_marginal_revenue(profile.tech, 0.0)
-    if not math.isinf(mr0) and retained * mr0 <= 0.0:
-        return _package(profile, alpha, 0.0,
-                        NUMERIC if force_numeric else ANALYTIC)
 
     respond = None if force_numeric else responder(profile)
     if respond is not None:
@@ -229,7 +213,7 @@ def solve_effort_policy(profile: DeveloperProfile,
     tech, cost = profile.tech, profile.cost
 
     def profit(e: float) -> float:
-        r = reduced_revenue(tech, e)
+        r = reduced(tech, e)[1]
         return r - policy.commission(r) - effort_cost(cost, e)
 
     candidates = [0.0]
@@ -248,7 +232,7 @@ def solve_effort_policy(profile: DeveloperProfile,
             candidates.append(edge)
 
     best_e = min(candidates, key=lambda e: (-profit(e), e))
-    r = reduced_revenue(tech, best_e)
+    r = reduced(tech, best_e)[1]
     marginal_alpha = policy.marginal_rate(r)
     packaged = _package(profile, marginal_alpha, best_e, method)
     # net profit under the actual schedule, not the local marginal rate

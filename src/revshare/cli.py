@@ -62,7 +62,7 @@ FMAX = sys.float_info.max  # bounds an unbounded number: rejects inf and NaN
 SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "solve": {
         "canonical": ("bool", False, None, None),
-        "cost": ("float", 0.2, 0, FMAX),
+        "cost": ("float", 0.2, 0, 1e6),  # cost x usage over all cells stays finite
         "grid_step": ("float", 1e-3, MIN_GRID_STEP, 1),
         "scale": ("float", 1.0, 1e-6, 1e6),   # keeps A/k and A*e far from overflow
         "cost_scale": ("float", 1.0, 1e-6, 1e6),
@@ -72,7 +72,7 @@ SCHEMAS: Dict[str, Dict[str, tuple]] = {
     },
     "sweep": {
         "canonical": ("bool", False, None, None),
-        "cost": ("float", 0.2, 0, FMAX),
+        "cost": ("float", 0.2, 0, 1e6),  # cost x usage over all cells stays finite
         "grid_step": ("float", 1e-3, MIN_GRID_STEP, 1),
         "alpha_min": ("float", 0.0, 0, 1),
         "alpha_max": ("float", 1.0, 0, 1),

@@ -1,20 +1,23 @@
 """Side-by-side payoff comparison of platform business models, with the
 developer re-optimizing effort under each fee structure.
 
-Each model is a fee point (m, t, Q, F): commission m on app revenue R,
-price t per request above a free quota Q, lump fee F. The developer
-maximizes (1-m)*R - t*max(0, q-Q) - phi(e) - F, pays the upfront cost
-t*max(0, q-Q) + F, and the platform earns m*R + upfront - c*q.
+Each model is a fee point (m, t, Q, F): commission policy m on app revenue
+R, price t per request above a free quota Q, lump fee F. The developer
+maximizes R - m(R) - t*max(0, q-Q) - phi(e) - F, pays the upfront cost
+t*max(0, q-Q) + F, and the platform earns m(R) + upfront - c*q.
 
-  model          m           t              Q           F     generation
-  pay_per_token  0           token_price    0           0     1 pay-per-use
-  subscription   0           0              0           fee   2 diversification
-  freemium       0           overage_price  free_quota  0     2 diversification
-  marketplace    commission  token_price    0           0     3 multi-layer, paid inference
-  rsi            rate        0              0           0     3 revenue sharing as infrastructure
+  model          m                t              Q           F     generation
+  pay_per_token  flat 0           token_price    0           0     1 pay-per-use
+  subscription   flat 0           0              0           fee   2 diversification
+  freemium       flat 0           overage_price  free_quota  0     2 diversification
+  marketplace    flat commission  token_price    0           0     3 multi-layer, paid inference
+  rsi            policy           0              0           0     3 revenue sharing as infrastructure
 
-The rsi row also carries a degressive schedule, an ad share and an activity
-threshold, so it is scored by ``participation.entrant_profit`` instead.
+Every row is scored by ``participation.developer_profit`` and
+``participation.entrant_profit`` plus the upfront cost, so the developer
+keeps their ad revenue under the fee models, and the rsi policy's degressive
+schedule, ad share and activity threshold apply to its row.
+
 Capital feasibility is the operational reading of "low capital": a model
 whose upfront/period cost exceeds the developer's capital cannot be entered
 before revenue realizes. Revenue sharing carries no upfront cost, so it is
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from .best_response import reduced, solve_effort, solve_effort_policy
+from .best_response import reduced, solve_effort_policy
 from .model import (
     CommissionPolicy,
     DeveloperProfile,
@@ -46,6 +49,7 @@ from .participation import developer_profit, entrant_profit
 
 MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
                "marketplace", "hybrid")
+_NO_COMMISSION = CommissionPolicy.flat(0.0)
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,19 @@ class ComparisonTable:
     preferred_by_platform: Optional[str]
 
 
-def fee_schedule(model) -> Tuple[float, float, float, float]:
-    """A non-RSI business model as the fee point (m, t, Q, F): commission m
+def fee_schedule(model) -> Tuple[CommissionPolicy, float, float, float]:
+    """A business model as the fee point (m, t, Q, F): commission policy m
     on app revenue, price t per request above a free quota Q, lump fee F."""
+    if isinstance(model, RsiModel):
+        return model.policy, 0.0, 0.0, 0.0
     if isinstance(model, PayPerTokenModel):
-        return 0.0, model.token_price, 0.0, 0.0
+        return _NO_COMMISSION, model.token_price, 0.0, 0.0
     if isinstance(model, SubscriptionModel):
-        return 0.0, 0.0, 0.0, model.fee
+        return _NO_COMMISSION, 0.0, 0.0, model.fee
     if isinstance(model, FreemiumModel):
-        return 0.0, model.overage_price, model.free_quota, 0.0
+        return _NO_COMMISSION, model.overage_price, model.free_quota, 0.0
     if isinstance(model, MarketplaceModel):
-        return model.commission, model.token_price, 0.0, 0.0
+        return CommissionPolicy.flat(model.commission), model.token_price, 0.0, 0.0
     raise DomainError(f"unknown business model {model!r}")
 
 
@@ -93,33 +99,27 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
                     for member in model.choices), key=_dev_key)
         return replace(best, model="hybrid")
 
-    c = platform_cost
-    if isinstance(model, RsiModel):
-        br = solve_effort_policy(profile, model.policy)
-        e, r, q = br.effort, br.gross_revenue, br.usage
-        dev = developer_profit(profile, br.net_profit, model.policy)
-        platform = entrant_profit(profile, r, q, model.policy, c)
-        upfront = 0.0
-    else:
-        m, t, quota, lump = fee_schedule(model)
-        tech, cost = profile.tech, profile.cost
+    policy, t, quota, lump = fee_schedule(model)
+    if t == 0.0:  # no per-request charge: the revenue-sharing problem
+        br = solve_effort_policy(profile, policy)
+        e, r, q, net = br.effort, br.gross_revenue, br.usage, br.net_profit - lump
+    else:  # t > 0 only on flat policies
+        m, tech, cost = policy.rate, profile.tech, profile.cost
 
         def objective(e):
             _, r, q = reduced(tech, e)
             return ((1.0 - m) * r - t * (q - quota if q > quota else 0.0)
                     - effort_cost(cost, e) - lump)
 
-        if t == 0.0:  # no per-request charge: the RSI problem at rate m
-            e = solve_effort(profile, m).effort
-        else:
-            hi = expand_upper_bound(objective, start=1.0, cap=1e6)
-            e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
-            if objective(0.0) >= objective(e):
-                e = 0.0  # minimal-effort tie-break
+        hi = expand_upper_bound(objective)
+        e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+        if objective(0.0) >= objective(e):
+            e = 0.0  # minimal-effort tie-break
         _, r, q = reduced(tech, e)
-        dev = objective(e)
-        upfront = t * (q - quota if q > quota else 0.0) + lump
-        platform = m * r + upfront - c * q
+        net = objective(e)
+    upfront = t * (q - quota if q > quota else 0.0) + lump
+    dev = developer_profit(profile, net, policy)
+    platform = entrant_profit(profile, r, q, policy, platform_cost) + upfront
     feasible = upfront <= capital + 1e-9  # absorb numeric-optimizer noise
     return ModelOutcome(model=model.tag, developer_profit=dev,
                         platform_profit=platform, effort=e, usage=q,

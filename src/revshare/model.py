@@ -298,16 +298,6 @@ def revenue(tech: RevenueTechnology, effort: float,
     return price * max(0.0, demand)
 
 
-def usage(tech: RevenueTechnology, effort: float,
-          price: Optional[float] = None) -> float:
-    """Request volume generated at a given effort/price."""
-    if tech.usage_per_revenue is not None:
-        return tech.usage_per_revenue * revenue(tech, effort, price)
-    if effort < 0:
-        raise DomainError("effort must be >= 0")
-    return effort  # q = e for the effort families
-
-
 def effort_cost(cost: EffortCost, effort: float) -> float:
     """phi(e); zero at zero, strictly increasing and convex."""
     if effort < 0:

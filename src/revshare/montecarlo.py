@@ -44,7 +44,7 @@ LOGNORMAL = "lognormal"
 
 @dataclass(frozen=True)
 class Distribution:
-    """Uniform(lo, hi) or LogNormal(mu, sigma) sampler with a CDF."""
+    """Uniform(lo, hi) or LogNormal(mu, sigma) sampler."""
 
     kind: str
     a: float
@@ -62,18 +62,6 @@ class Distribution:
         if self.kind == UNIFORM:
             return float(rng.uniform(self.a, self.b))
         return float(rng.lognormal(self.a, self.b))
-
-    def cdf(self, x: float) -> float:
-        if self.kind == UNIFORM:
-            if self.b == self.a:
-                return 1.0 if x >= self.a else 0.0
-            return min(1.0, max(0.0, (x - self.a) / (self.b - self.a)))
-        if x <= 0:
-            return 0.0
-        if self.b == 0:
-            return 1.0 if math.log(x) >= self.a else 0.0
-        return 0.5 * (1 + math.erf((math.log(x) - self.a)
-                                   / (self.b * math.sqrt(2))))
 
 
 @dataclass(frozen=True)

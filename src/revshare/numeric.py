@@ -6,10 +6,13 @@ import math
 from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_MAX_ITER = 200   # golden-section steps; 0.618**200 is below 1e-41
+_N_COARSE = 512   # grid cells scanned before the golden-section polish
+SEARCH_CAP = 1e6  # largest upper bound expand_upper_bound returns
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-10, max_iter: int = 200) -> float:
+                       tol: float = 1e-10) -> float:
     """Maximize a unimodal f on [lo, hi]; returns the argmax to within tol."""
     if hi < lo:
         raise ValueError("empty bracket")
@@ -17,7 +20,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:
@@ -35,14 +38,14 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
-                     n_coarse: int = 512, tol: float = 1e-10) -> float:
+                     tol: float = 1e-10) -> float:
     """Robust maximizer for piecewise-concave objectives: coarse grid scan
     for the global bracket, golden-section polish inside it."""
     if hi <= lo:
         return lo
-    step = (hi - lo) / n_coarse
+    step = (hi - lo) / _N_COARSE
     best_i, best_v = 0, f(lo)
-    for i in range(1, n_coarse + 1):
+    for i in range(1, _N_COARSE + 1):
         v = f(lo + i * step)
         if v > best_v:
             best_i, best_v = i, v
@@ -51,13 +54,13 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
     return golden_section_max(f, a, b, tol=tol)
 
 
-def expand_upper_bound(f: Callable[[float], float], start: float = 1.0,
-                       cap: float = 1e6) -> float:
-    """Grow an upper search bound until f stops improving past it."""
-    hi = start
-    while hi < cap and f(hi * 2) > f(hi):
+def expand_upper_bound(f: Callable[[float], float]) -> float:
+    """Grow an upper search bound from 1 until f stops improving past it,
+    up to SEARCH_CAP."""
+    hi = 1.0
+    while hi < SEARCH_CAP and f(hi * 2) > f(hi):
         hi *= 2
-    return min(hi * 2, cap)
+    return min(hi * 2, SEARCH_CAP)
 
 
 def central_diff(f: Callable[[float], float], x: float,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from revshare.best_response import (
+    NonConvergenceError,
     foc_residual,
     reduced,
-    reduced_revenue,
     responder,
     solve_effort,
     solve_effort_policy,
@@ -77,6 +77,44 @@ class TestSolveEffort:
         e_grid, pi_grid = grid_best_effort(profile, 0.4, e_max=5.0)
         assert br.effort == pytest.approx(e_grid, abs=1e-5)
         assert br.net_profit >= pi_grid - 1e-9
+
+    def test_convex_demand_numeric(self):
+        # a = 0 makes R = (b*e)^2/(4d) convex; the cubic cost still bends
+        # 0.9*e^2/4 - e^3/3 back down, at e = 0.45
+        profile = DeveloperProfile(
+            id="d",
+            tech=RevenueTechnology(family="linear_demand", demand_base=0.0,
+                                   demand_quality=1.0, demand_slope=1.0,
+                                   usage_per_revenue=1.0),
+            cost=EffortCost(family="power_convex", k=1.0, exponent=3.0))
+        br = solve_effort(profile, 0.1)
+        assert br.method == "numeric"
+        assert br.effort == pytest.approx(0.45, abs=1e-6)
+        assert br.net_profit == pytest.approx(0.0151875, abs=1e-12)
+        e_grid, pi_grid = grid_best_effort(profile, 0.1, e_max=2.0)
+        assert br.effort == pytest.approx(e_grid, abs=1e-5)
+        assert br.net_profit >= pi_grid - 1e-12
+
+    @pytest.mark.parametrize("base", [0.0, 1e-9])
+    def test_convex_demand_unbounded(self, base):
+        # 0.9*(base + 2e)^2/4 - e^2/2 grows without bound
+        profile = DeveloperProfile(
+            id="d",
+            tech=RevenueTechnology(family="linear_demand", demand_base=base,
+                                   demand_quality=2.0, demand_slope=1.0,
+                                   usage_per_revenue=1.0),
+            cost=EffortCost(k=1.0))
+        with pytest.raises(NonConvergenceError):
+            solve_effort(profile, 0.1)
+
+    def test_no_demand_zero_effort(self):
+        profile = DeveloperProfile(
+            id="d",
+            tech=RevenueTechnology(family="linear_demand", demand_base=0.0,
+                                   demand_quality=0.0, usage_per_revenue=1.0),
+            cost=EffortCost(k=1.0))
+        br = solve_effort(profile, 0.1)
+        assert (br.effort, br.net_profit, br.method) == (0.0, 0.0, "numeric")
 
     def test_numeric_matches_analytic(self):
         for profile in random_profiles(25, seed=7):
@@ -191,7 +229,7 @@ class TestSolvePrice:
 
 def fd_residual(profile, alpha, effort):
     """(1-alpha)*R'(e) - phi'(e) by central differences of the model."""
-    rprime = central_diff(lambda e: reduced_revenue(profile.tech, e), effort)
+    rprime = central_diff(lambda e: reduced(profile.tech, e)[1], effort)
     cprime = central_diff(lambda e: effort_cost(profile.cost, e), effort)
     return (1.0 - alpha) * rprime - cprime
 

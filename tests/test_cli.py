@@ -211,7 +211,7 @@ class TestSweepCommand:
     def test_nan_cost_domain_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical", "--cost", "nan")
         assert status == 2
-        assert err == "error: cost must be >= 0: nan\n"
+        assert err == "error: cost must be in [0, 1e+06]: nan\n"
 
     def test_empty_grid_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "sweep", "--canonical",
@@ -283,6 +283,14 @@ class TestDeclaredBounds:
                                  "--grid-step", "2")
         assert status == 2
         assert err == "error: grid_step must be in [1e-06, 1]: 2.0\n"
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_overflowing_cost_usage_error(self, capsys, command):
+        # cost x usage summed over the population would overflow to -inf
+        status, out, err = run_cli(capsys, command, "--size", "3", "--cost",
+                                   "1.7e308", "--grid-step", "0.5")
+        assert (status, out) == (2, "")
+        assert err == "error: cost must be in [0, 1e+06]: 1.7e+308\n"
 
     def test_nan_ad_share_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "settle", "--ledger",
@@ -582,7 +590,7 @@ class TestConfigHandling:
                         "[params]\ncost = -1\n")
         status, out, _ = run_cli(capsys, "validate", str(path))
         assert status == 1
-        assert "cost must be >= 0" in out
+        assert "cost must be in [0, 1e+06]: -1.0" in out
 
     def test_non_numeric_ini_value_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.ini"

@@ -156,6 +156,23 @@ class TestAccountingIdentity:
         assert abs(out.developer_profit + out.platform_profit - joint) <= 1e-9 * size
         assert out.upfront_cost >= 0.0
 
+    @given(model=fee_models.filter(lambda m: not isinstance(m, RsiModel)),
+           family=st.sampled_from(["linear", "power", "linear_demand"]),
+           ad=st.floats(0.0, 10.0), c=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_fee_models_leave_ad_revenue_to_the_developer(self, model, family,
+                                                          ad, c):
+        tech = (RevenueTechnology(family=family, demand_base=1.0,
+                                  demand_quality=0.5, usage_per_revenue=1.0)
+                if family == "linear_demand"
+                else RevenueTechnology(family=family, beta=0.5))
+        profile = DeveloperProfile(id="d", tech=tech, cost=EffortCost(k=1.0))
+        without = evaluate_model(profile, model, platform_cost=c)
+        with_ad = evaluate_model(dataclasses.replace(profile, ad_revenue=ad),
+                                 model, platform_cost=c)
+        assert with_ad.developer_profit == without.developer_profit + ad
+        assert with_ad.platform_profit == without.platform_profit
+
 
 def evaluate_objective(profile, model, e):
     """Developer objective for each model, written independently."""
@@ -203,6 +220,18 @@ class TestComparisonTable:
             assert sub.developer_profit == pytest.approx(
                 rsi.developer_profit, abs=1e-12)
             assert sub.effort == pytest.approx(rsi.effort, abs=1e-12)
+
+    def test_free_subscription_beats_rsi_with_ad_revenue(self, canonical_profile):
+        # R = e, phi = e^2/2: RSI at 30% keeps 0.245, a free subscription
+        # 0.5, and the developer keeps the ad revenue under both
+        profile = dataclasses.replace(canonical_profile, ad_revenue=1.0)
+        table = compare_models(profile, [RsiModel(policy=CommissionPolicy.flat(0.3)),
+                                         SubscriptionModel(fee=0.0)],
+                               platform_cost=0.0)
+        rsi, subscription = table.rows
+        assert rsi.developer_profit == pytest.approx(1.245, abs=1e-12)
+        assert subscription.developer_profit == pytest.approx(1.5, abs=1e-12)
+        assert table.preferred_by_developer == "subscription"
 
     def test_row_order_fixed(self, canonical_profile):
         models = [SubscriptionModel(fee=0.0), RSI60,

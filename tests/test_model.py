@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revshare.best_response import reduced
 from revshare.comparator import evaluate_model
 from revshare.model import (
     CommissionPolicy,
@@ -18,7 +19,6 @@ from revshare.model import (
     SubscriptionModel,
     effort_cost,
     revenue,
-    usage,
 )
 
 
@@ -47,7 +47,8 @@ class TestRevenue:
                                  demand_quality=2, demand_slope=1,
                                  usage_per_revenue=3.0)
         assert revenue(tech, 1.0, 6.0) == pytest.approx(36.0)
-        assert usage(tech, 1.0, 6.0) == pytest.approx(108.0)
+        # the price vertex (10 + 2*1)/2 = 6 and usage 3 * 36 requests
+        assert reduced(tech, 1.0) == pytest.approx((6.0, 36.0, 108.0))
 
     def test_demand_price_required(self):
         tech = RevenueTechnology(family="linear_demand", demand_base=1,
@@ -59,7 +60,7 @@ class TestRevenue:
         with pytest.raises(DomainError):
             revenue(RevenueTechnology(family="linear"), -0.1)
         with pytest.raises(DomainError):
-            usage(RevenueTechnology(family="linear"), -0.1)
+            reduced(RevenueTechnology(family="linear"), -0.1)
 
     @given(e1=st.floats(0, 10), e2=st.floats(0, 10),
            beta=st.floats(0.1, 1.0))
@@ -80,8 +81,8 @@ class TestRevenue:
         assert mid >= chord - 1e-9
 
     def test_usage_example(self):
-        assert usage(RevenueTechnology(family="linear"), 0.4) == 0.4
-        assert usage(RevenueTechnology(family="linear"), 0.0) == 0.0
+        assert reduced(RevenueTechnology(family="linear"), 0.4)[2] == 0.4
+        assert reduced(RevenueTechnology(family="linear"), 0.0)[2] == 0.0
 
 
 class TestEffortCost:

@@ -21,16 +21,6 @@ from conftest import canonical_profile  # noqa: F401
 
 
 class TestDistribution:
-    def test_uniform_cdf(self):
-        d = Distribution("uniform", 0.0, 2.0)
-        assert d.cdf(-1) == 0.0
-        assert d.cdf(1.0) == 0.5
-        assert d.cdf(5.0) == 1.0
-
-    def test_lognormal_cdf_median(self):
-        d = Distribution("lognormal", 0.5, 0.8)
-        assert d.cdf(math.exp(0.5)) == pytest.approx(0.5, abs=1e-12)
-
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
             Distribution("uniform", 2.0, 1.0)
