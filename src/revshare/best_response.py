@@ -16,26 +16,16 @@ from .model import (
     DeveloperProfile,
     DomainError,
     LINEAR_DEMAND,
-    LINEAR_EFFORT,
-    POWER_EFFORT,
-    QUADRATIC,
     RevenueTechnology,
     effort_cost,
     marginal_effort_cost,
     revenue,
 )
-from .numeric import SEARCH_CAP, expand_upper_bound, golden_section_max
+from .numeric import (  # noqa: F401  NonConvergenceError is re-exported
+    NonConvergenceError, expand_upper_bound, golden_section_max)
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
-
-
-class NonConvergenceError(RuntimeError):
-    """Inner solver failed to bracket or converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,7 @@ def reduced(tech: RevenueTechnology,
 
 
 def _reduced_marginal_revenue(tech: RevenueTechnology, effort: float) -> float:
-    if tech.family == LINEAR_EFFORT:
-        return tech.scale
-    if tech.family == POWER_EFFORT:
+    if tech.family != LINEAR_DEMAND:
         if effort == 0:
             return tech.scale if tech.beta == 1 else math.inf
         return tech.scale * tech.beta * effort ** (tech.beta - 1)
@@ -121,16 +109,15 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
     tech, cost = profile.tech, profile.cost
     if tech.family == LINEAR_DEMAND:
         return None
-    scale, k, kappa, m = tech.scale, cost.k, tech.usage_per_revenue, cost.exponent
-    powered, quadratic = tech.family == POWER_EFFORT, cost.family == QUADRATIC
-    beta = tech.beta if powered else 1.0
-    power, half_k = 1.0 / ((2.0 if quadratic else m) - beta), 0.5 * k
+    scale, beta, kappa = tech.scale, tech.beta, tech.usage_per_revenue
+    k, m = cost.k, cost.exponent
+    power = 1.0 / (m - beta)
 
     def respond(alpha, pw=pow) -> tuple:
         retained = 1.0 - alpha
         e = pw(retained * scale * beta / k, power)
-        gross = scale * pw(e, beta) if powered else scale * e
-        phi = half_k * pw(e, 2) if quadratic else k * pw(e, m) / m
+        gross = scale * pw(e, beta)
+        phi = k * pw(e, m) / m
         return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
 
     return respond
@@ -139,18 +126,6 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
 def _reduced_profit(profile: DeveloperProfile, retained: float):
     tech, cost = profile.tech, profile.cost
     return lambda e: retained * reduced(tech, e)[1] - effort_cost(cost, e)
-
-
-def _effort_upper_bound(profile: DeveloperProfile) -> float:
-    """An effort past which the developer's profit falls even when they keep
-    everything (alpha=0)."""
-    f = _reduced_profit(profile, 1.0)
-    hi = expand_upper_bound(f)
-    if hi >= SEARCH_CAP and f(hi) > f(hi / 2):
-        raise NonConvergenceError(
-            "developer problem appears unbounded (marginal revenue never "
-            "falls below marginal cost)")
-    return hi
 
 
 def _package(profile: DeveloperProfile, alpha: float, e: float,
@@ -176,7 +151,8 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
     if respond is not None:
         return _package(profile, alpha, respond(alpha)[0], ANALYTIC)
 
-    hi = _effort_upper_bound(profile)
+    # past this effort the profit falls even when they keep everything
+    hi = expand_upper_bound(_reduced_profit(profile, 1.0))
     f = _reduced_profit(profile, retained)
     e = golden_section_max(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
     if f(0.0) >= f(e):
@@ -188,9 +164,7 @@ def _invert_revenue(tech: RevenueTechnology, target: float) -> Optional[float]:
     """Smallest effort with reduced revenue equal to target, if reachable."""
     if target <= 0:
         return 0.0
-    if tech.family == LINEAR_EFFORT:
-        return target / tech.scale
-    if tech.family == POWER_EFFORT:
+    if tech.family != LINEAR_DEMAND:
         return (target / tech.scale) ** (1.0 / tech.beta)
     # (a+b*e)^2/(4d) = target
     if tech.demand_quality == 0:

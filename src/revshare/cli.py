@@ -57,6 +57,15 @@ OUTDIR_ENV = "REVSHARE_OUTDIR"
 
 FMAX = sys.float_info.max  # bounds an unbounded number: rejects inf and NaN
 
+# the flags that describe the one developer of compare and of solve without
+# --size; at their defaults it is the canonical developer: R = e, phi = e^2/2,
+# no outside option
+DEVELOPER = {
+    "scale": ("float", 1.0, 1e-6, 1e6),   # keeps A/k and A*e far from overflow
+    "cost_scale": ("float", 1.0, 1e-6, 1e6),
+    "reservation": ("float", 0.0, 0, FMAX),
+}
+
 # per-command parameter schema: name -> (type tag, default, lo, hi); every
 # int or float parameter must lie in [lo, hi]
 SCHEMAS: Dict[str, Dict[str, tuple]] = {
@@ -64,9 +73,7 @@ SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "canonical": ("bool", False, None, None),
         "cost": ("float", 0.2, 0, 1e6),  # cost x usage over all cells stays finite
         "grid_step": ("float", 1e-3, MIN_GRID_STEP, 1),
-        "scale": ("float", 1.0, 1e-6, 1e6),   # keeps A/k and A*e far from overflow
-        "cost_scale": ("float", 1.0, 1e-6, 1e6),
-        "reservation": ("float", 0.0, 0, FMAX),
+        **DEVELOPER,
         "size": ("int", 0, 0, MAX_POPULATION),  # >0: generated population
         "seed": ("int", 0, 0, FMAX),
     },
@@ -88,9 +95,7 @@ SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "overage_price": ("float", 0.2, 0, FMAX),
         "marketplace_commission": ("float", 0.15, 0, 1),
         "capital": ("float", math.inf, 0, math.inf),  # default: unlimited
-        "scale": ("float", 1.0, 1e-6, 1e6),
-        "cost_scale": ("float", 1.0, 1e-6, 1e6),
-        "reservation": ("float", 0.0, 0, FMAX),
+        **DEVELOPER,
     },
     "scenario": {
         "number": ("int", 1, 1, 3),
@@ -219,6 +224,20 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             issues.append(f"size x rates must be <= {MAX_POOL_CELLS}: {cells}")
     if cfg.command == "sweep" and not val("canonical") and val("size") == 0:
         issues.append("sweep needs a population: give --size or --canonical")
+    # a flag counts as given when it differs from its default, so a config
+    # written by --dump-config, which lists every value, still passes
+    given = [name for name in schema if val(name) != schema[name][1]]
+    if cfg.command in ("solve", "sweep"):
+        if val("canonical") and val("size") > 0:
+            issues.append("--canonical and --size pick different populations")
+        if val("size") == 0 and "seed" in given:
+            issues.append("--seed draws a population: it needs --size")
+        if val("canonical") or val("size") > 0:
+            issues += [f"--{name.replace('_', '-')} describes the single "
+                       "developer, not a --canonical or --size population"
+                       for name in DEVELOPER if name in given]
+    if cfg.command == "settle" and val("degressive") and "rate" in given:
+        issues.append("--rate is a flat rate: --degressive replaces it")
     if cfg.command == "pool":
         if val("size") < 1:
             issues.append("pool needs size >= 1")
@@ -289,20 +308,18 @@ def _write_json(path: str, payload) -> None:
 
 
 def _single_profile(cfg: ExperimentConfig) -> DeveloperProfile:
+    """The developer the DEVELOPER flags describe. Sweep has none of them,
+    and validate() rejects them next to --canonical, so --canonical always
+    gets the canonical developer."""
+    scale, k, reservation = (cfg.params.get(name, default)
+                             for name, (_, default, _, _) in DEVELOPER.items())
     return DeveloperProfile(
-        id="dev-00000",
-        tech=RevenueTechnology(family="linear", scale=cfg.resolved("scale")),
-        cost=EffortCost(k=cfg.resolved("cost_scale")),
-        reservation_profit=cfg.resolved("reservation"),
-    )
+        id="dev-00000", tech=RevenueTechnology(family="linear", scale=scale),
+        cost=EffortCost(k=k), reservation_profit=reservation)
 
 
 def _population(cfg: ExperimentConfig):
-    if cfg.resolved("canonical"):
-        return [DeveloperProfile(
-            id="dev-00000", tech=RevenueTechnology(family="linear", scale=1.0),
-            cost=EffortCost(k=1.0))]
-    if cfg.resolved("size") == 0:  # solve only: validate() rejects it for sweep
+    if cfg.resolved("size") == 0:  # --canonical, or solve's single developer
         return [_single_profile(cfg)]
     spec = PopulationSpec(size=cfg.resolved("size"), seed=cfg.resolved("seed"))
     return generate_population(spec)

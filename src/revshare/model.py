@@ -40,8 +40,8 @@ class RevenueTechnology:
     gross revenue and platform usage.
 
     Families:
-      linear        R = A * e,             q = e
       power         R = A * e**beta,       q = e          (beta in (0,1])
+      linear        power with beta = 1
       linear_demand R = p * max(0, a + b*e - d*p), q = usage_per_revenue * R
 
     ``usage_per_revenue`` may also be set on the effort families to link
@@ -64,8 +64,10 @@ class RevenueTechnology:
             raise DomainError("revenue technology parameters must be finite")
         if self.scale <= 0:
             raise DomainError("scale must be positive")
-        if self.family == POWER_EFFORT and not (0 < self.beta <= 1):
+        if not 0 < self.beta <= 1:
             raise DomainError("beta must be in (0, 1]")
+        if self.family == LINEAR_EFFORT and self.beta != 1:
+            raise DomainError("linear revenue has beta = 1; use power")
         if self.family == LINEAR_DEMAND:
             if self.demand_base < 0 or self.demand_quality < 0:
                 raise DomainError("demand_base and demand_quality must be >= 0")
@@ -81,8 +83,8 @@ class RevenueTechnology:
 class EffortCost:
     """Convex cost of effort, zero at zero effort.
 
-    quadratic:     phi(e) = k*e^2 / 2
     power_convex:  phi(e) = k*e^m / m, m >= 2
+    quadratic:     power_convex with m = 2
     """
 
     family: str = QUADRATIC
@@ -96,8 +98,10 @@ class EffortCost:
             raise DomainError("cost scale k must be positive and finite")
         if not math.isfinite(self.exponent):
             raise DomainError("exponent must be finite")
-        if self.family == POWER_CONVEX and self.exponent < 2:
+        if self.exponent < 2:
             raise DomainError("exponent must be >= 2")
+        if self.family == QUADRATIC and self.exponent != 2:
+            raise DomainError("quadratic cost has exponent 2; use power_convex")
 
 
 @dataclass(frozen=True)
@@ -285,11 +289,8 @@ def revenue(tech: RevenueTechnology, effort: float,
     """Gross revenue at a given effort (and price for the demand family)."""
     if effort < 0:
         raise DomainError("effort must be >= 0")
-    if tech.family == LINEAR_EFFORT:
-        return tech.scale * effort
-    if tech.family == POWER_EFFORT:
+    if tech.family != LINEAR_DEMAND:
         return tech.scale * effort ** tech.beta
-    # linear_demand
     if price is None:
         raise DomainError("linear_demand family requires a price")
     if price <= 0:
@@ -302,8 +303,6 @@ def effort_cost(cost: EffortCost, effort: float) -> float:
     """phi(e); zero at zero, strictly increasing and convex."""
     if effort < 0:
         raise DomainError("effort must be >= 0")
-    if cost.family == QUADRATIC:
-        return 0.5 * cost.k * effort ** 2
     return cost.k * effort ** cost.exponent / cost.exponent
 
 
@@ -311,6 +310,4 @@ def marginal_effort_cost(cost: EffortCost, effort: float) -> float:
     """phi'(e)."""
     if effort < 0:
         raise DomainError("effort must be >= 0")
-    if cost.family == QUADRATIC:
-        return cost.k * effort
     return cost.k * effort ** (cost.exponent - 1)

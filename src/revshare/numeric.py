@@ -8,7 +8,17 @@ from typing import Callable
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _MAX_ITER = 200   # golden-section steps; 0.618**200 is below 1e-41
 _N_COARSE = 512   # grid cells scanned before the golden-section polish
-SEARCH_CAP = 1e6  # largest upper bound expand_upper_bound returns
+# largest upper bound expand_upper_bound returns: above twice the largest
+# effort a CLI run reaches, A/k = 1e6/1e-6
+SEARCH_CAP = 1e15
+
+
+class NonConvergenceError(RuntimeError):
+    """Inner solver failed to bracket or converge; carries the residual."""
+
+    def __init__(self, message: str, residual: float = math.nan):
+        super().__init__(message)
+        self.residual = residual
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
@@ -55,19 +65,15 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
 
 
 def expand_upper_bound(f: Callable[[float], float]) -> float:
-    """Grow an upper search bound from 1 until f stops improving past it,
-    up to SEARCH_CAP."""
+    """Grow an upper search bound from 1 until f stops improving past it.
+    NonConvergenceError when f still improves at SEARCH_CAP: the problem
+    appears unbounded."""
     hi = 1.0
     while hi < SEARCH_CAP and f(hi * 2) > f(hi):
         hi *= 2
-    return min(hi * 2, SEARCH_CAP)
-
-
-def central_diff(f: Callable[[float], float], x: float,
-                 h: float | None = None) -> float:
-    """Central finite difference, one-sided at the left domain edge."""
-    if h is None:
-        h = max(1e-6, 1e-6 * abs(x))
-    if x - h < 0:
-        return (f(x + h) - f(x)) / h
-    return (f(x + h) - f(x - h)) / (2 * h)
+    hi = min(hi * 2, SEARCH_CAP)
+    if hi >= SEARCH_CAP and f(hi) > f(hi / 2):
+        raise NonConvergenceError(
+            "developer problem appears unbounded (marginal revenue never "
+            "falls below marginal cost)")
+    return hi

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .best_response import BestResponse, solve_effort
-from .model import (
-    CommissionPolicy,
-    DomainError,
-    LINEAR_EFFORT,
-    PlatformParams,
-    QUADRATIC,
-)
+from .model import CommissionPolicy, DomainError, PlatformParams
 from .participation import developer_profit, participate, rate_grid, sweep
 
 # finest outer-search grid step; a finer step would allocate ~1/step rates
@@ -68,16 +62,17 @@ def platform_profit(params: PlatformParams,
 
 def _canonical_alpha(params: PlatformParams,
                      policy: Optional[CommissionPolicy]) -> Optional[float]:
-    """Closed-form optimum for a single linear-revenue/quadratic-cost
-    developer with no outside option: alpha* = (1 + c/A)/2."""
+    """Closed-form optimum for a single developer with R = A*e, q = e (so
+    not linear_demand, which sets usage_per_revenue), phi = k*e^2/2 and no
+    outside option: alpha* = (1 + c/A)/2."""
     if policy is not None and (not policy.is_flat or policy.ad_share
                                or policy.activity_threshold):
         return None
     if len(params.population) != 1:
         return None
     p = params.population[0]
-    if (p.tech.family == LINEAR_EFFORT and p.tech.usage_per_revenue is None
-            and p.cost.family == QUADRATIC and p.reservation_profit == 0
+    if (p.tech.beta == 1 and p.tech.usage_per_revenue is None
+            and p.cost.exponent == 2 and p.reservation_profit == 0
             and p.ad_revenue == 0 and params.marginal_cost < p.tech.scale):
         return 0.5 * (1.0 + params.marginal_cost / p.tech.scale)
     return None

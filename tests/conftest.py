@@ -43,6 +43,15 @@ def cost_grid(cost, e):
     return cost.k * np.power(e, cost.exponent) / cost.exponent
 
 
+def central_diff(f, x, h=None):
+    """Central finite difference, one-sided at the left domain edge."""
+    if h is None:
+        h = max(1e-6, 1e-6 * abs(x))
+    if x - h < 0:
+        return (f(x + h) - f(x)) / h
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
 def grid_best_effort(profile, alpha, e_max, step=1e-6):
     """Brute-force inner oracle: argmax of (1-alpha)R(e) - phi(e) on a grid."""
     e = np.arange(0.0, e_max + step, step)

@@ -22,12 +22,12 @@ from revshare.model import (
     marginal_effort_cost,
 )
 from revshare.montecarlo import Distribution, PopulationSpec, generate_population
-from revshare.numeric import central_diff
 from revshare.optimizer import optimize_alpha
 from revshare.participation import participation_curve
 from revshare.settlement import Transaction, settle
 
 from conftest import (
+    central_diff,
     grid_best_effort,
     oracle_alpha_grid,
     random_profiles,

@@ -13,18 +13,23 @@ from revshare.best_response import (
     solve_effort_policy,
     solve_price,
 )
+from revshare.comparator import compare_models
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
     EffortCost,
+    FreemiumModel,
+    MarketplaceModel,
+    PayPerTokenModel,
     RevenueTechnology,
+    RsiModel,
+    SubscriptionModel,
     effort_cost,
 )
-from revshare.numeric import central_diff
-from revshare.participation import row_pow
+from revshare.participation import row_pow, sweep
 
-from conftest import grid_best_effort, random_profiles
+from conftest import central_diff, grid_best_effort, random_profiles
 
 
 class TestSolveEffort:
@@ -191,6 +196,49 @@ class TestResponder:
                 demand_slope=1.0, usage_per_revenue=1.0),
             cost=EffortCost(k=1.0))
         assert responder(profile) is None
+
+
+def power_law_twin(profile):
+    """The same developer with linear named as power (beta = 1) and quadratic
+    as power_convex (m = 2)."""
+    tech, cost = profile.tech, profile.cost
+    if tech.family == "linear":
+        tech = dataclasses.replace(tech, family="power")
+    if cost.family == "quadratic":
+        cost = dataclasses.replace(cost, family="power_convex")
+    return dataclasses.replace(profile, tech=tech, cost=cost)
+
+
+class TestOnePowerLaw:
+    """linear is power with beta = 1 and quadratic is power_convex with
+    m = 2, bit for bit in every solver path."""
+
+    profiles = random_profiles(40, seed=23) + [
+        dataclasses.replace(p, id=p.id + "-q", ad_revenue=0.3, tech=dataclasses.replace(
+            p.tech, usage_per_revenue=0.7)) for p in random_profiles(10, seed=24)]
+    twins = [power_law_twin(p) for p in profiles]
+
+    def test_solve_effort(self):
+        assert any(p != t for p, t in zip(self.profiles, self.twins))
+        for profile, twin in zip(self.profiles, self.twins):
+            for alpha in (0.0, 0.25, 0.6, 0.999):
+                for numeric in (False, True):
+                    assert repr(solve_effort(profile, alpha, numeric)) == \
+                        repr(solve_effort(twin, alpha, numeric))
+
+    def test_sweep_rows(self):
+        grid = [i / 200 for i in range(201)]
+        assert repr(sweep(self.profiles, grid, 0.1)) == \
+            repr(sweep(self.twins, grid, 0.1))
+
+    def test_compare_models_rows(self):
+        models = [RsiModel(policy=CommissionPolicy.flat(0.3)),
+                  PayPerTokenModel(token_price=0.1), SubscriptionModel(fee=0.05),
+                  FreemiumModel(free_quota=0.5, overage_price=0.1),
+                  MarketplaceModel(commission=0.15, token_price=0.1)]
+        for profile, twin in zip(self.profiles, self.twins):
+            assert repr(compare_models(profile, models, 0.05)) == \
+                repr(compare_models(twin, models, 0.05))
 
 
 class TestSolvePrice:

@@ -14,6 +14,8 @@ from revshare.cli import (
     SCHEMAS,
     ExperimentConfig,
     _write_json,
+    build_parser,
+    config_from_args,
     dump_config,
     load_config,
     main,
@@ -485,7 +487,67 @@ def test_every_flag_value_exits_cleanly(data, paths):
         json.loads(report.read_text(), parse_constant=reject_constant)
 
 
+class TestOneDeveloperDescription:
+    """A flag the run would ignore is a usage error, not a silent no-op."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--canonical", "--reservation", "1e308"],
+         "--reservation describes the single developer"),
+        (["solve", "--size", "5", "--scale", "3"],
+         "--scale describes the single developer"),
+        (["solve", "--canonical", "--cost-scale", "2"],
+         "--cost-scale describes the single developer"),
+        (["solve", "--canonical", "--size", "5"],
+         "--canonical and --size pick different populations"),
+        (["sweep", "--canonical", "--size", "5"],
+         "--canonical and --size pick different populations"),
+        (["solve", "--seed", "3"], "--seed draws a population"),
+        (["sweep", "--canonical", "--seed", "3"], "--seed draws a population"),
+        (["settle", "--ledger", str(CONFIGS / "sample_ledger.csv"),
+          "--degressive", "0:0.3", "--rate", "0.9"],
+         "--rate is a flat rate: --degressive replaces it")])
+    def test_ignored_flag_usage_error(self, capsys, tmp_path, argv, message):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert f"error: {message}" in err
+        path = tmp_path / "run.ini"
+        assert run_cli(capsys, *argv, "--dump-config", str(path))[0] == 0
+        assert any(message in issue for issue in validate(load_config(str(path))))
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--canonical", "--scale", "1", "--seed", "0"],
+        ["settle", "--ledger", str(CONFIGS / "sample_ledger.csv"),
+         "--degressive", "0:0.3", "--rate", "0.25"]])
+    def test_flag_at_its_default_is_not_given(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("source", sorted(p.name for p in CONFIGS.glob("*.ini"))
+                             + ["solve --canonical"])
+    def test_dumped_config_validates(self, capsys, tmp_path, monkeypatch, source):
+        """dump_config writes every resolved value, defaults included."""
+        monkeypatch.chdir(CONFIGS.parent)  # settle.ini's ledger path is relative
+        if source.endswith(".ini"):
+            cfg = load_config(str(CONFIGS / source))
+        else:
+            cfg = config_from_args(build_parser().parse_args(source.split()))
+        path = tmp_path / "dumped.ini"
+        path.write_text(dump_config(cfg))
+        assert validate(load_config(str(path))) == []
+
+
 class TestCompareAndPool:
+    def test_fee_rows_search_past_a_million(self, capsys, tmp_path):
+        """Efforts up to A/k = 1e12: marketplace earns the platform 1.275e17,
+        more than rsi's 9e16 at a 90% rate."""
+        out = tmp_path / "c.json"
+        status, summary, _ = run_cli(
+            capsys, "compare", "--scale", "1e6", "--cost-scale", "1e-6",
+            "--rate", "0.9", "--token-price", "0.2", "--out", str(out))
+        assert status == 0 and "platform_prefers=marketplace" in summary
+        rows = {r["model"]: r for r in json.loads(out.read_text())["rows"]}
+        assert rows["marketplace"]["platform_profit"] == pytest.approx(1.275e17, rel=1e-5)
+        assert rows["rsi"]["platform_profit"] == pytest.approx(9e16)
+
     def test_compare_zero_capital(self, capsys):
         status, out, _ = run_cli(capsys, "compare", "--capital", "0",
                                  "--rate", "0.3")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revshare.best_response import NonConvergenceError
 from revshare.comparator import capital_frontier, compare_models, evaluate_model
 from revshare.model import (
     CommissionPolicy,
@@ -132,6 +133,38 @@ fee_models = st.one_of(
 )
 
 
+class TestFeeRowSearch:
+    def test_fee_rows_reach_efforts_past_a_million(self):
+        """A/k = 1e12, within the CLI's ranges: each fee row's effort is near
+        its own optimum ((1 - m)A - t)/k, not at the old 1e6 search cap."""
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology(family="linear", scale=1e6),
+            cost=EffortCost(k=1e-6))
+        models = [PayPerTokenModel(token_price=0.2),
+                  FreemiumModel(free_quota=0.5, overage_price=0.2),
+                  MarketplaceModel(commission=0.15, token_price=0.2)]
+        for model in models:
+            m = getattr(model, "commission", 0.0)
+            want = ((1 - m) * 1e6 - 0.2) / 1e-6
+            out = evaluate_model(profile, model, platform_cost=0.0)
+            assert out.effort == pytest.approx(want, rel=1e-8), model.tag
+
+    @pytest.mark.parametrize("model", [
+        PayPerTokenModel(token_price=0.2),
+        FreemiumModel(free_quota=0.5, overage_price=0.2),
+        MarketplaceModel(commission=0.15, token_price=0.2)])
+    def test_unbounded_developer_raises_in_every_fee_row(self, model):
+        """R = (2e)^2/4 = e^2 against phi = e^2/2 has no optimum: the fee
+        rows raise, as the revenue-sharing row does."""
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology(family="linear_demand",
+                                           demand_quality=2.0,
+                                           usage_per_revenue=1.0),
+            cost=EffortCost(k=1.0))
+        with pytest.raises(NonConvergenceError):
+            evaluate_model(profile, model, platform_cost=0.0)
+
+
 class TestAccountingIdentity:
     @given(model=fee_models, family=st.sampled_from(["linear", "power"]),
            cost_family=st.sampled_from(["quadratic", "power_convex"]),
@@ -148,7 +181,9 @@ class TestAccountingIdentity:
             id="d", tech=RevenueTechnology(family=family, scale=scale,
                                            beta=beta if family == "power" else 1.0,
                                            usage_per_revenue=per_revenue),
-            cost=EffortCost(family=cost_family, k=k, exponent=exponent))
+            cost=EffortCost(family=cost_family, k=k,
+                            exponent=exponent if cost_family == "power_convex"
+                            else 2.0))
         out = evaluate_model(profile, model, platform_cost=c)
         phi = effort_cost(profile.cost, out.effort)
         joint = out.gross_revenue - phi - c * out.usage
@@ -165,7 +200,8 @@ class TestAccountingIdentity:
         tech = (RevenueTechnology(family=family, demand_base=1.0,
                                   demand_quality=0.5, usage_per_revenue=1.0)
                 if family == "linear_demand"
-                else RevenueTechnology(family=family, beta=0.5))
+                else RevenueTechnology(family=family,
+                                       beta=0.5 if family == "power" else 1.0))
         profile = DeveloperProfile(id="d", tech=tech, cost=EffortCost(k=1.0))
         without = evaluate_model(profile, model, platform_cost=c)
         with_ad = evaluate_model(dataclasses.replace(profile, ad_revenue=ad),

@@ -139,6 +139,27 @@ class TestEffortCost:
                     make()
 
 
+class TestFamilyTags:
+    """A family tag only names fixed parameter values: linear is power with
+    beta = 1, quadratic is power_convex with m = 2. Another value is an
+    error, not a silently ignored parameter."""
+
+    def test_linear_with_another_beta_raises(self):
+        with pytest.raises(DomainError, match="beta = 1"):
+            RevenueTechnology(family="linear", beta=0.5)
+
+    def test_quadratic_with_another_exponent_raises(self):
+        with pytest.raises(DomainError, match="exponent 2"):
+            EffortCost(family="quadratic", exponent=3.0)
+
+    def test_every_family_bounds_beta_and_exponent(self):
+        with pytest.raises(DomainError, match=r"beta must be in \(0, 1\]"):
+            RevenueTechnology(family="linear_demand", beta=0.0,
+                              usage_per_revenue=1.0)
+        with pytest.raises(DomainError, match="exponent must be >= 2"):
+            EffortCost(family="quadratic", exponent=1.5)
+
+
 class TestCommissionPolicy:
     def test_flat(self):
         p = CommissionPolicy.flat(0.25)
