@@ -8,7 +8,7 @@ falls back to golden-section search on the reduced profit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .model import (
@@ -206,11 +206,7 @@ def solve_effort_policy(profile: DeveloperProfile,
             candidates.append(edge)
 
     best_e = min(candidates, key=lambda e: (-profit(e), e))
-    r = reduced(tech, best_e)[1]
-    marginal_alpha = policy.marginal_rate(r)
-    packaged = _package(profile, marginal_alpha, best_e, method)
+    marginal_alpha = policy.marginal_rate(reduced(tech, best_e)[1])
     # net profit under the actual schedule, not the local marginal rate
-    return BestResponse(effort=packaged.effort, price=packaged.price,
-                        gross_revenue=r, usage=packaged.usage,
-                        net_profit=profit(best_e),
-                        foc_residual=packaged.foc_residual, method=method)
+    return replace(_package(profile, marginal_alpha, best_e, method),
+                   net_profit=profit(best_e))

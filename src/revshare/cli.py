@@ -85,6 +85,7 @@ SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "alpha_max": ("float", 1.0, 0, 1),
         "size": ("int", 0, 0, MAX_POPULATION),
         "seed": ("int", 0, 0, FMAX),
+        "no_timestamp": ("bool", False, None, None),  # CSV without its header
     },
     "compare": {
         "rate": ("float", 0.25, 0, 1),
@@ -104,7 +105,7 @@ SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "settle": {
         "ledger": ("str", "", None, None),
         "rate": ("float", 0.25, 0, 1),
-        "ad_share": ("float", -1.0, -1, 1),   # <0 means absent
+        "ad_share": ("float", 0.0, 0, 1),
         "degressive": ("str", "", None, None),  # "0:0.30,1000:0.20" in currency
         "freemium": ("bool", False, None, None),
     },
@@ -125,13 +126,13 @@ class ExperimentConfig:
     params: Dict[str, object] = field(default_factory=dict)
     output: Optional[str] = None
     fmt: Optional[str] = None  # only checked: sweep writes csv, the rest json
-    no_timestamp: bool = False
 
     def resolved(self, name: str):
         return self.params.get(name, SCHEMAS[self.command][name][1])
 
 
 TYPES = {"int": int, "float": float, "str": str}  # bool flags take no value
+EXPERIMENT_KEYS = ("command", "output", "format")
 
 
 def _coerce(kind: str, raw: str):
@@ -151,13 +152,13 @@ def load_config(path: str) -> ExperimentConfig:
     if "experiment" not in parser:
         raise DomainError(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
+    unknown = [key for key in exp  # [DEFAULT] keys also fill [params]
+               if key not in EXPERIMENT_KEYS and key not in parser.defaults()]
+    if unknown:
+        raise DomainError(f"{path}: unknown [experiment] keys {unknown}")
     command = exp.get("command", "")
-    cfg = ExperimentConfig(
-        command=command,
-        output=exp.get("output", None) or None,
-        fmt=exp.get("format"),
-        no_timestamp=_coerce("bool", exp.get("no_timestamp", "false")),
-    )
+    cfg = ExperimentConfig(command=command, output=exp.get("output") or None,
+                           fmt=exp.get("format"))
     if command in SCHEMAS and "params" in parser:
         schema = SCHEMAS[command]
         for key, raw in parser["params"].items():
@@ -173,8 +174,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {"command": cfg.command,
-                            "no_timestamp": str(cfg.no_timestamp).lower()}
+    parser["experiment"] = {"command": cfg.command}
     for key, value in (("format", cfg.fmt), ("output", cfg.output)):
         if value:
             parser["experiment"][key] = value
@@ -299,12 +299,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_json(path: str, payload) -> None:
+def _json_text(payload) -> str:
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or infinity
         raise DomainError("the report has a value that JSON cannot carry")
-    _write_atomic(path, text + "\n")
+    return text + "\n"
 
 
 def _single_profile(cfg: ExperimentConfig) -> DeveloperProfile:
@@ -325,45 +325,42 @@ def _population(cfg: ExperimentConfig):
     return generate_population(spec)
 
 
-# --- command implementations ---
+# --- command implementations: each returns (summary line, report), the
+# report a JSON-able dict or the exact text of the output file ---
 
-def _run_solve(cfg: ExperimentConfig) -> str:
+def _run_solve(cfg: ExperimentConfig):
     population = _population(cfg)
     params = PlatformParams(marginal_cost=cfg.resolved("cost"),
                             population=population)
     report = optimize_alpha(params, grid_step=cfg.resolved("grid_step"))
     summary = (f"alpha*={report.alpha_star:.6f} "
                f"profit={report.platform_profit:.6f} N={report.n_entrants}")
-    if cfg.output:
-        payload = {
-            "alpha_star": report.alpha_star,
-            "platform_profit": report.platform_profit,
-            "n_entrants": report.n_entrants,
-            "analytic_alpha": report.analytic_alpha,
-            "degenerate": report.degenerate,
-            "per_developer": [{"id": dev_id, **asdict(br)}
-                              for dev_id, br in report.per_developer],
-            "diagnostics": report.diagnostics,  # grid_size, refine_iterations
-        }
-        _write_json(cfg.output, payload)
-    return summary
+    return summary, {
+        "alpha_star": report.alpha_star,
+        "platform_profit": report.platform_profit,
+        "n_entrants": report.n_entrants,
+        "analytic_alpha": report.analytic_alpha,
+        "degenerate": report.degenerate,
+        "per_developer": [{"id": dev_id, **asdict(br)}
+                          for dev_id, br in report.per_developer],
+        "diagnostics": report.diagnostics,  # grid_size, refine_iterations
+    }
 
 
-def _run_sweep(cfg: ExperimentConfig) -> str:
+def _run_sweep(cfg: ExperimentConfig):
     population = _population(cfg)
     grid = rate_grid(cfg.resolved("alpha_min"), cfg.resolved("alpha_max"),
                      cfg.resolved("grid_step"))
     result = sweep(population, grid, cfg.resolved("cost"))
-    stamp = None if cfg.no_timestamp else \
+    stamp = None if cfg.resolved("no_timestamp") else \
         datetime.now(timezone.utc).isoformat()
-    if cfg.output:
-        _write_atomic(cfg.output, sweep_to_csv(result, timestamp=stamp))
     best_n = result.entrant_counts[result.alphas.index(result.argmax_alpha)]
-    return (f"alpha*={result.argmax_alpha:.6f} "
-            f"profit={max(result.platform_profits):.6f} N={best_n}")
+    summary = (f"alpha*={result.argmax_alpha:.6f} "
+               f"profit={max(result.platform_profits):.6f} N={best_n}")
+    return summary, sweep_to_csv(result, timestamp=stamp)
 
 
-def _run_compare(cfg: ExperimentConfig) -> str:
+def _run_compare(cfg: ExperimentConfig):
     profile = _single_profile(cfg)
     models = [
         RsiModel(policy=CommissionPolicy.flat(cfg.resolved("rate"))),
@@ -376,20 +373,18 @@ def _run_compare(cfg: ExperimentConfig) -> str:
     ]
     table = compare_models(profile, models, cfg.resolved("cost"),
                            capital=cfg.resolved("capital"))
-    if cfg.output:
-        payload = {
-            "preferred_by_developer": table.preferred_by_developer,
-            "preferred_by_platform": table.preferred_by_platform,
-            "rows": [
-                {"model": r.model, "developer_profit": r.developer_profit,
-                 "platform_profit": r.platform_profit, "effort": r.effort,
-                 "upfront_cost": r.upfront_cost, "entered": r.entered}
-                for r in table.rows
-            ],
-        }
-        _write_json(cfg.output, payload)
-    return (f"developer_prefers={table.preferred_by_developer} "
-            f"platform_prefers={table.preferred_by_platform}")
+    summary = (f"developer_prefers={table.preferred_by_developer} "
+               f"platform_prefers={table.preferred_by_platform}")
+    return summary, {
+        "preferred_by_developer": table.preferred_by_developer,
+        "preferred_by_platform": table.preferred_by_platform,
+        "rows": [
+            {"model": r.model, "developer_profit": r.developer_profit,
+             "platform_profit": r.platform_profit, "effort": r.effort,
+             "upfront_cost": r.upfront_cost, "entered": r.entered}
+            for r in table.rows
+        ],
+    }
 
 
 def _scenario_ledger(number: int):
@@ -411,51 +406,44 @@ def _scenario_ledger(number: int):
     return txs, flags
 
 
-def _statement_summary(stmt) -> str:
-    return (f"gross={format_cents(stmt.gross_cents)} "
-            f"commission={format_cents(stmt.commission_cents)} "
-            f"payout={format_cents(stmt.payout_cents)}")
+def _statement_outcome(stmt):
+    summary = (f"gross={format_cents(stmt.gross_cents)} "
+               f"commission={format_cents(stmt.commission_cents)} "
+               f"payout={format_cents(stmt.payout_cents)}")
+    return summary, stmt.to_json() + "\n"
 
 
-def _run_scenario(cfg: ExperimentConfig) -> str:
+def _run_scenario(cfg: ExperimentConfig):
     number = cfg.resolved("number")
     policy = CommissionPolicy.flat(cfg.resolved("rate"))
     txs, flags = _scenario_ledger(number)
-    stmt = settle_freemium(txs, policy, flags) if number == 3 \
-        else settle(txs, policy)
-    if cfg.output:
-        _write_atomic(cfg.output, stmt.to_json() + "\n")
-    return _statement_summary(stmt)
+    return _statement_outcome(settle_freemium(txs, policy, flags)
+                              if number == 3 else settle(txs, policy))
 
 
-def _run_settle(cfg: ExperimentConfig) -> str:
+def _run_settle(cfg: ExperimentConfig):
     txs, flags = read_ledger(cfg.resolved("ledger"))
     ad_share = cfg.resolved("ad_share")
-    kwargs = {"ad_share": ad_share if ad_share >= 0 else None}
     if cfg.resolved("degressive"):
         policy = CommissionPolicy.degressive(
-            _parse_degressive(cfg.resolved("degressive")), **kwargs)
+            _parse_degressive(cfg.resolved("degressive")), ad_share=ad_share)
     else:
-        policy = CommissionPolicy.flat(cfg.resolved("rate"), **kwargs)
-    stmt = settle_freemium(txs, policy, flags) if cfg.resolved("freemium") \
-        else settle(txs, policy)
-    if cfg.output:
-        _write_atomic(cfg.output, stmt.to_json() + "\n")
-    return _statement_summary(stmt)
+        policy = CommissionPolicy.flat(cfg.resolved("rate"), ad_share=ad_share)
+    return _statement_outcome(settle_freemium(txs, policy, flags)
+                              if cfg.resolved("freemium") else settle(txs, policy))
 
 
-def _run_pool(cfg: ExperimentConfig) -> str:
+def _run_pool(cfg: ExperimentConfig):
     population = generate_population(
         PopulationSpec(size=cfg.resolved("size"), seed=cfg.resolved("seed")))
     report = risk_pooling_report(
         population, cfg.resolved("alpha"), cfg.resolved("cost"),
         cfg.resolved("success_prob"), draws=cfg.resolved("draws"),
         seed=cfg.resolved("seed"))
-    if cfg.output:
-        _write_json(cfg.output, asdict(report))
     cv = report.coefficient_of_variation
-    return (f"mean={report.mean_profit:.6f} p5={report.p5_profit:.6f} "
-            f"cv={'none' if cv is None else f'{cv:.6f}'}")
+    summary = (f"mean={report.mean_profit:.6f} p5={report.p5_profit:.6f} "
+               f"cv={'none' if cv is None else f'{cv:.6f}'}")
+    return summary, asdict(report)
 
 
 RUNNERS = {
@@ -480,11 +468,15 @@ def run(cfg: ExperimentConfig) -> int:
     if issues:
         return _usage_error(issues)
     try:
-        print(RUNNERS[cfg.command](cfg))
+        summary, report = RUNNERS[cfg.command](cfg)
+        if cfg.output:
+            _write_atomic(cfg.output, report if isinstance(report, str)
+                          else _json_text(report))
     except DomainError as exc:
         print(json.dumps({"error": str(exc), "module": cfg.command}),
               file=sys.stderr)
         return 1
+    print(summary)
     return 0
 
 
@@ -511,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", default=None,
                        choices=("json", "csv"),
                        help="checked only: sweep writes csv, the rest json")
-        p.add_argument("--no-timestamp", action="store_true", default=None)
         for name, (kind, default, lo, hi) in schema.items():
             flag = "--" + name.replace("_", "-")
             if kind == "bool":
@@ -542,8 +533,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cfg.output = args.out
     if args.fmt is not None:
         cfg.fmt = args.fmt
-    if args.no_timestamp is not None:
-        cfg.no_timestamp = args.no_timestamp
     return cfg
 
 
@@ -562,8 +551,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = config_from_args(args)
     except DomainError as exc:
         return _usage_error([str(exc)])
-    if args.dump_config:
-        issues = _output_issues(args.dump_config)
+    if args.dump_config:  # only a config that validate() accepts
+        issues = validate(cfg) + _output_issues(args.dump_config)
         if issues:
             return _usage_error(issues)
         _write_atomic(args.dump_config, dump_config(cfg))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from revshare.cli import (
     SCHEMAS,
     ExperimentConfig,
-    _write_json,
+    _json_text,
     build_parser,
     config_from_args,
     dump_config,
@@ -299,7 +299,15 @@ class TestDeclaredBounds:
                                  str(CONFIGS / "sample_ledger.csv"),
                                  "--ad-share", "nan")
         assert status == 2
-        assert err == "error: ad_share must be in [-1, 1]: nan\n"
+        assert err == "error: ad_share out of [0,1]: nan\n"
+
+    def test_negative_ad_share_usage_error(self, capsys):
+        # an absent ad share is 0: no negative value stands for it
+        status, out, err = run_cli(capsys, "settle", "--ledger",
+                                   str(CONFIGS / "sample_ledger.csv"),
+                                   "--ad-share", "-0.5")
+        assert (status, out) == (2, "")
+        assert err == "error: ad_share out of [0,1]: -0.5\n"
 
     @pytest.mark.parametrize("scale,cost_scale", [("1e150", "1e-150"),
                                                   ("1e200", "1e-200")])
@@ -350,7 +358,7 @@ class TestDeclaredBounds:
             "module": "pool"}
         assert not out_path.exists()
         with pytest.raises(DomainError):
-            _write_json(str(out_path), {"x": math.inf})
+            _json_text({"x": math.inf})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text", [
@@ -380,7 +388,10 @@ class TestDeclaredBounds:
         (["solve", "--size", "nan"],
          "error: argument --size: invalid int value: 'nan'"),
         (["solve", "--format", "xml"], "error: argument --format: invalid choice"),
-        ([], "error: the following arguments are required: command")])
+        ([], "error: the following arguments are required: command")] + [
+        ([command, "--no-timestamp"],
+         "error: unrecognized arguments: --no-timestamp")  # a sweep flag
+        for command in ("solve", "compare", "scenario", "settle", "pool")])
     def test_argparse_rejection_is_one_error_line(self, argv, error):
         status, out, err = run_in_process(argv)
         assert (status, out) == (2, "")
@@ -511,8 +522,10 @@ class TestOneDeveloperDescription:
         assert (status, out) == (2, "")
         assert f"error: {message}" in err
         path = tmp_path / "run.ini"
-        assert run_cli(capsys, *argv, "--dump-config", str(path))[0] == 0
-        assert any(message in issue for issue in validate(load_config(str(path))))
+        status, out, err = run_cli(capsys, *argv, "--dump-config", str(path))
+        assert (status, out) == (2, "")
+        assert f"error: {message}" in err
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--canonical", "--scale", "1", "--seed", "0"],
@@ -662,6 +675,15 @@ class TestConfigHandling:
             status, _, err = run_cli(capsys, *argv)
             assert status == 2
             assert "cost = 'abc' is not a valid float" in err
+
+    def test_unknown_experiment_key_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[experiment]\ncommand = solve\noutptu = eq.json\n"
+                        "[params]\ncanonical = true\n")
+        for argv in (["validate", str(path)], ["solve", "--config", str(path)]):
+            status, out, err = run_cli(capsys, *argv)
+            assert (status, out) == (2, "")
+            assert err == f"error: {path}: unknown [experiment] keys ['outptu']\n"
 
     def test_config_for_another_command_usage_error(self, capsys):
         status, out, err = run_cli(capsys, "solve", "--config",
