@@ -54,7 +54,7 @@ def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
     if intercept <= 0:
         return PriceSolution(price=None, revenue=0.0)
     p = intercept / (2 * tech.demand_slope)
-    return PriceSolution(price=p, revenue=intercept ** 2 / (4 * tech.demand_slope))
+    return PriceSolution(p, intercept * intercept / (4 * tech.demand_slope))
 
 
 def reduced(tech: RevenueTechnology,
@@ -105,7 +105,7 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
     linear_demand. Alpha is a float, or a float64 row of rates with
     ``pw=participation.row_pow``. The one statement of
     (1-alpha)*A*beta*e^(beta-1) = k*e^(m-1), agreeing bit for bit with
-    ``reduced`` and ``effort_cost``."""
+    ``reduced`` and ``effort_cost``: e^2 is ``e * e``, other powers ``pw``."""
     tech, cost = profile.tech, profile.cost
     if tech.family == LINEAR_DEMAND:
         return None
@@ -117,7 +117,7 @@ def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
         retained = 1.0 - alpha
         e = pw(retained * scale * beta / k, power)
         gross = scale * pw(e, beta)
-        phi = k * pw(e, m) / m
+        phi = k * (e * e if m == 2 else pw(e, m)) / m
         return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
 
     return respond

@@ -142,7 +142,7 @@ def _coerce(kind: str, raw: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -173,7 +173,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["experiment"] = {"command": cfg.command}
     for key, value in (("format", cfg.fmt), ("output", cfg.output)):
         if value:

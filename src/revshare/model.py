@@ -303,7 +303,8 @@ def effort_cost(cost: EffortCost, effort: float) -> float:
     """phi(e); zero at zero, strictly increasing and convex."""
     if effort < 0:
         raise DomainError("effort must be >= 0")
-    return cost.k * effort ** cost.exponent / cost.exponent
+    m = cost.exponent
+    return cost.k * (effort * effort if m == 2 else effort ** m) / m
 
 
 def marginal_effort_cost(cost: EffortCost, effort: float) -> float:

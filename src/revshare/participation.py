@@ -5,7 +5,8 @@ profit from the developers who enter.
 Entry uses a weak inequality (profit >= reservation) so the zero-reservation
 boundary case enters. ``sweep`` is the one walk of a population over a set
 of rates; every multi-rate evaluation reads it, one developer at a time as
-float64 rows over the grid: numpy for + - * /, Python's libm pow for **.
+float64 rows over the grid: numpy for + - * / and for squares (products),
+Python's libm pow for every other power.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
 
 def row_pow(row: np.ndarray, y: float) -> np.ndarray:
     """``x ** y`` for each x of a float64 row by Python's own pow (libm), bit
-    for bit as the scalar path; numpy's ``x ** 2`` is ``x * x``, which is not."""
+    for bit as the scalar path, where numpy's general power is not. Squares
+    never come here: both paths write them as ``e * e``."""
     return row if y == 1 else np.array([x ** y for x in row.tolist()])
 
 
@@ -137,9 +139,10 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     alpha grid, bit for bit as one ``participate`` pass per rate. A flat
     ``policy`` supplies the ad share and activity threshold charged at every
     rate. Ties break toward the smallest alpha: the argmax is the first maximum.
-    Each developer is one row over the grid (``responder`` with ``row_pow``;
-    ``solve_effort`` per rate for linear_demand) whose entrant cells are added
-    to the per-rate totals in developer-id order, as ``participate`` adds them."""
+    Each developer is one row over the grid (``responder`` with ``row_pow``,
+    numpy alone for linear revenue and quadratic cost; ``solve_effort`` per
+    rate for linear_demand) whose entrant cells are added to the per-rate
+    totals in developer-id order, as ``participate`` adds them."""
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     require_finite_nonneg("marginal_cost", marginal_cost)

@@ -667,6 +667,28 @@ class TestConfigHandling:
         assert status == 1
         assert "cost must be in [0, 1e+06]: -1.0" in out
 
+    def test_percent_in_config_value_read_verbatim(self, capsys, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "pct.ini"
+        path.write_text("[experiment]\ncommand = settle\n"
+                        "[params]\nledger = a%b.csv\n")
+        status, out, err = run_cli(capsys, "validate", str(path))
+        assert status == 1
+        assert out.strip() == "ledger file not found: 'a%b.csv'"
+        assert err == ""
+
+    def test_percent_in_dumped_config_round_trips(self, capsys, tmp_path):
+        ledger = tmp_path / "l%1.csv"
+        ledger.write_text("app_id,period,kind,amount_cents\na,p,sale,100\n")
+        path = tmp_path / "dumped.ini"
+        status, _, _ = run_cli(capsys, "settle", "--ledger", str(ledger),
+                               "--dump-config", str(path))
+        assert status == 0
+        assert f"ledger = {ledger}\n" in path.read_text()
+        assert load_config(str(path)).params["ledger"] == str(ledger)
+        assert run_cli(capsys, "validate", str(path))[0] == 0
+
     def test_non_numeric_ini_value_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\ncommand = solve\n"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,16 @@ class TestEffortCost:
     def test_negative_effort_rejected(self):
         with pytest.raises(DomainError):
             effort_cost(EffortCost(), -1.0)
+
+    def test_quadratic_cost_squares_by_multiplication(self):
+        # libm pow(x, 2) gives ...464 here; the correctly rounded square is ...465
+        assert effort_cost(EffortCost(k=1.0), 0.8988696834881831) \
+            == 0.8079667078941465 / 2
+
+    @given(e=st.floats(1e-150, 1e150))
+    @settings(max_examples=500)
+    def test_quadratic_cost_is_correctly_rounded_square(self, e):
+        assert effort_cost(EffortCost(k=1.0), e) == float(Fraction(e) ** 2) / 2
 
     @given(e1=st.floats(0, 10), e2=st.floats(0, 10),
            lam=st.floats(0.01, 0.99), m=st.floats(2.0, 5.0))
