@@ -2,9 +2,11 @@
 
 Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
-numbers. ``sweep`` and ``SweepResult`` live in ``participation`` and are
-re-exported here; aggregates are summed in sorted-id order for bit-for-bit
-reproducibility.
+numbers: developer i draws ``default_rng(SeedSequence(seed).spawn(size)[i])``.
+One NumPy pass computes every developer's first doubles; a lognormal draw, or
+rejections that use them up, go on in that substream's own generator.
+``sweep`` and ``SweepResult`` live in ``participation`` and are re-exported
+here; aggregates are summed in sorted-id order for bit-for-bit reproducibility.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ log = logging.getLogger(__name__)
 # draws x developers above which risk_pooling_report refuses to allocate
 # its hit matrix (about 9 bytes a cell, so about 90 MB)
 MAX_POOL_CELLS = 10_000_000
-# developers per generated population (about 1.3 KB each, so about 130 MB)
+# developers per generated population (about 480 B retained each: 48 MB)
 MAX_POPULATION = 100_000
 
 UNIFORM = "uniform"
@@ -53,12 +55,15 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in (UNIFORM, LOGNORMAL):
             raise DomainError(f"unknown distribution {self.kind!r}")
-        if self.kind == UNIFORM and self.b < self.a:
-            raise DomainError("uniform needs lo <= hi")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError("distribution parameters must be finite")
+        if self.kind == UNIFORM and not 0 <= self.b - self.a < math.inf:
+            raise DomainError("uniform needs lo <= hi and a finite hi - lo")
         if self.kind == LOGNORMAL and self.b < 0:
             raise DomainError("lognormal sigma must be >= 0")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng) -> float:
+        """One draw from a NumPy ``Generator`` or a developer's ``_Substream``."""
         if self.kind == UNIFORM:
             return float(rng.uniform(self.a, self.b))
         return float(rng.lognormal(self.a, self.b))
@@ -79,12 +84,87 @@ class PopulationSpec:
             raise DomainError(f"size must be in [0, {MAX_POPULATION}]")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
+        if not all(math.isfinite(p) and p >= 0 for _, p in self.family_mix):
+            raise DomainError("family mix proportions must be finite and >= 0")
         total = sum(p for _, p in self.family_mix)
         if abs(total - 1.0) > 1e-9:
             raise DomainError("family mix proportions must sum to 1")
         for fam, _ in self.family_mix:
             if fam not in (LINEAR_EFFORT, POWER_EFFORT):
                 raise DomainError(f"unsupported generated family {fam!r}")
+
+
+# NumPy's SeedSequence hash constants and PCG64 multiplier (bit_generator.pyx,
+# pcg64.h); _ROW doubles make one unrejected developer: family, A, k, beta, pi_0
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _ROW = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 5
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _substream_doubles(seed: int, size: int) -> np.ndarray:
+    """Row i: the first ``_ROW`` doubles of ``default_rng(SeedSequence(seed)
+    .spawn(size)[i])``, for every i at once. Child i's pool is the parent's
+    with key i mixed in; PCG64 steps in uint64 arrays, which wrap silently."""
+    words = max(1, -(-int(seed).bit_length() // 32))  # uint32 words of seed
+    # the parent's mixing made 16 hashmix calls, plus 4 per word past 4
+    hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
+    key, mixed, halves = np.arange(size, dtype=np.uint32), [], []
+    for x in np.random.SeedSequence(seed).pool.tolist():
+        v = (key ^ hc) * (hc := hc * _MULT_A & _M32)
+        v = (_MIX_L * x & _M32) - _MIX_R * (v ^ v >> 16)
+        mixed.append(v ^ v >> 16)
+    hc = _INIT_B
+    for j in range(8):  # generate_state(4, uint64)
+        v = (mixed[j % 4] ^ hc) * (hc := hc * _MULT_B & _M32)
+        halves.append((v ^ v >> 16).astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = (halves[j] | halves[j + 1] << 32 for j in (0, 2, 4, 6))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
+
+    def step(hi, lo):  # state * multiplier + increment, mod 2**128
+        a0, a1 = lo & _M32, lo >> 32
+        mid = (a0 * b0 >> 32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
+        hi = (a1 * b1 + (a0 * b1 >> 32) + (a1 * b0 >> 32) + (mid >> 32)
+              + hi * _PCG_LO + lo * _PCG_HI)
+        out = lo * _PCG_LO + inc_lo
+        return hi + inc_hi + (out < inc_lo), out
+
+    lo = inc_lo + s_lo  # seeding: state 0 steps to the increment, adds the seed
+    hi, lo = step(inc_hi + s_hi + (lo < inc_lo), lo)
+    out = np.empty((size, _ROW))
+    for c in range(_ROW):
+        hi, lo = step(hi, lo)
+        x, r = hi ^ lo, hi >> 58  # XSL-RR output
+        out[:, c] = (x >> r | x << (64 - r & 63)) >> 11
+    return out * 2.0 ** -53
+
+
+class _Substream:
+    """Developer ``key``'s draws: its precomputed doubles, then its own
+    generator advanced past the doubles already used."""
+
+    __slots__ = ("_row", "_used", "_seed", "_key", "_rng")
+
+    def __init__(self, row: List[float], seed: int, key: int):
+        self._row, self._used, self._rng = row, 0, None
+        self._seed, self._key = seed, key
+
+    def _generator(self) -> np.random.Generator:
+        if self._rng is None:
+            child = np.random.SeedSequence(self._seed, spawn_key=(self._key,))
+            self._rng = np.random.Generator(np.random.PCG64(child).advance(self._used))
+        return self._rng
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        if self._rng is not None or self._used == _ROW:
+            return self._generator().uniform(low, high)
+        if not math.isfinite(high - low):
+            raise OverflowError("high - low range exceeds valid bounds")
+        self._used += 1
+        return low + (high - low) * self._row[self._used - 1]  # NumPy's formula
+
+    def lognormal(self, mean: float, sigma: float) -> float:
+        return self._generator().lognormal(mean, sigma)
 
 
 def _draw_positive(dist: Distribution, rng, lo=0.0, hi=math.inf,
@@ -100,11 +180,11 @@ def _draw_positive(dist: Distribution, rng, lo=0.0, hi=math.inf,
 
 def generate_population(spec: PopulationSpec) -> List[DeveloperProfile]:
     """Deterministic heterogeneous population from a seeded spec."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.size)
+    rows = _substream_doubles(spec.seed, spec.size).tolist()
     profiles: List[DeveloperProfile] = []
     redraws = 0
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for i, row in enumerate(rows):
+        rng = _Substream(row, spec.seed, i)
         u = rng.uniform()
         family, acc = spec.family_mix[-1][0], 0.0
         for fam, p in spec.family_mix:

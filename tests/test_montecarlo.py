@@ -1,11 +1,18 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revshare import montecarlo, participation
-from revshare.model import DomainError
+from revshare.model import (
+    DeveloperProfile,
+    DomainError,
+    EffortCost,
+    RevenueTechnology,
+)
 from revshare.montecarlo import (
     MAX_POOL_CELLS,
     MAX_POPULATION,
@@ -26,6 +33,20 @@ class TestDistribution:
             Distribution("uniform", 2.0, 1.0)
         with pytest.raises(DomainError):
             Distribution("beta", 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind,a,b,match", [
+        ("uniform", math.nan, 1.0, "finite"),
+        ("uniform", 0.5, math.inf, "finite"),
+        ("uniform", -math.inf, 0.5, "finite"),
+        ("uniform", -1e308, 1e308, "finite hi - lo"),
+        ("lognormal", 0.0, math.nan, "finite"),
+        ("lognormal", math.inf, 0.5, "finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, kind, a, b, match):
+        # each used to reach NumPy: an OverflowError traceback for the
+        # uniforms, 1,000 rejected draws for the lognormals
+        with pytest.raises(DomainError, match=match):
+            Distribution(kind, a, b)
 
 
 class TestGeneratePopulation:
@@ -77,6 +98,89 @@ class TestGeneratePopulation:
         with pytest.raises(DomainError):
             PopulationSpec(size=1, seed=0,
                            family_mix=(("linear", 0.5), ("power", 0.4)))
+        # a negative or NaN proportion used to generate only linear developers
+        for mix in ((("linear", 1.5), ("power", -0.5)), (("linear", math.nan),),
+                    (("linear", math.inf), ("power", -math.inf))):
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                PopulationSpec(size=1, seed=0, family_mix=mix)
+
+
+FMAX = int(sys.float_info.max)  # the CLI's bound on --seed
+SEEDS = (0, 2**32, 2**128, FMAX)
+
+
+def reference_population(spec):
+    """The per-child reference: one ``default_rng`` per spawned substream."""
+    children = np.random.SeedSequence(spec.seed).spawn(spec.size)
+    profiles = []
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        u = rng.uniform()
+        family, acc = spec.family_mix[-1][0], 0.0
+        for fam, p in spec.family_mix:
+            acc += p
+            if u < acc:
+                family = fam
+                break
+        scale, _ = montecarlo._draw_positive(spec.scale_dist, rng)
+        k, _ = montecarlo._draw_positive(spec.cost_dist, rng)
+        beta = 1.0
+        if family == "power":
+            beta, _ = montecarlo._draw_positive(spec.elasticity_dist, rng,
+                                                lo=0.0, hi=1.0)
+        profiles.append(DeveloperProfile(
+            id=f"dev-{i:05d}",
+            tech=RevenueTechnology(family=family, scale=scale, beta=beta),
+            cost=EffortCost(family="quadratic", k=k),
+            reservation_profit=max(0.0, spec.reservation_dist.sample(rng))))
+    return profiles
+
+
+def exact(population):
+    """Each developer's repr, which shows every float to the last bit."""
+    return [repr(dev) for dev in population]
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "2**32", "2**128", "FMAX"])
+    def test_kernel_is_numpys_stream(self, seed):
+        # fails if NumPy changes SeedSequence or PCG64, instead of the goldens
+        # moving silently
+        expected = [np.random.default_rng(child).random(montecarlo._ROW)
+                    for child in np.random.SeedSequence(seed).spawn(40)]
+        got = montecarlo._substream_doubles(seed, 40)
+        assert got.shape == (40, montecarlo._ROW)
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_non_finite_range_overflows_like_numpy(self):
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-1e308, 1e308)
+        with pytest.raises(OverflowError):
+            montecarlo._Substream([0.5] * 5, 0, 0).uniform(-1e308, 1e308)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**70)),
+           size=st.integers(0, 40), prefix=st.integers(0, 40),
+           power=st.sampled_from([0.0, 0.3, 1.0]),
+           scale=st.sampled_from([Distribution("uniform", 0.5, 1.5),
+                                  Distribution("lognormal", 0.0, 0.5),
+                                  Distribution("uniform", -1.0, 1.0)]),
+           elasticity=st.sampled_from([Distribution("uniform", 0.3, 0.9),
+                                       Distribution("lognormal", -0.5, 0.6)]))
+    # uniform(-1, 1) rejects about half its draws, so rows run out and the
+    # generator fallback runs
+    @example(seed=FMAX, size=40, prefix=17, power=1.0,
+             scale=Distribution("uniform", -1.0, 1.0),
+             elasticity=Distribution("uniform", 0.3, 0.9))
+    def test_generate_population_matches_reference(self, seed, size, prefix,
+                                                   power, scale, elasticity):
+        mix = (("linear", 1.0 - power), ("power", power))
+        spec = PopulationSpec(size=size, seed=seed, scale_dist=scale,
+                              elasticity_dist=elasticity, family_mix=mix)
+        pop = exact(generate_population(spec))
+        assert pop == exact(reference_population(spec))
+        m = min(prefix, size)
+        assert pop[:m] == exact(generate_population(dataclasses.replace(spec, size=m)))
 
 
 class TestSweep:
