@@ -35,12 +35,38 @@ class Transaction:
     amount_cents: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown transaction kind {self.kind!r}")
-        if not isinstance(self.amount_cents, int):
-            raise DomainError("amount_cents must be an integer")
-        if self.amount_cents < 0:
-            raise DomainError("amount_cents must be >= 0")
+        _check_transaction(self.kind, self.amount_cents)
+
+
+def _check_transaction(kind: str, amount_cents: int) -> None:
+    """A transaction's rules, checked by Transaction and on each parsed row."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown transaction kind {kind!r}")
+    if not isinstance(amount_cents, int):
+        raise DomainError("amount_cents must be an integer")
+    if amount_cents < 0:
+        raise DomainError("amount_cents must be >= 0")
+
+
+class Ledger(Sequence[Transaction]):
+    """Transactions held as four columns (app ids, periods, kinds, integer
+    cents); a row's Transaction is built only when that row is read."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, app_ids: list, periods: list, kinds: list, amounts: list):
+        self.columns = (app_ids, periods, kinds, amounts)
+
+    def __len__(self) -> int:
+        return len(self.columns[3])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ledger(*(column[index] for column in self.columns))
+        return Transaction(*(column[index] for column in self.columns))
+
+    def __iter__(self):
+        return map(Transaction, *self.columns)
 
 
 @dataclass(frozen=True)
@@ -88,21 +114,29 @@ def _build_statement(transactions: Iterable[Transaction],
                      policy: CommissionPolicy,
                      premium_flags: Optional[Sequence[bool]] = None
                      ) -> SettlementStatement:
-    """One pass over (transaction, premium flag); without flags every
-    transaction is premium, i.e. commission-bearing."""
+    """The app and period sets and one pass over (kind, cents, premium
+    flag), read from a Ledger's columns or else from each transaction;
+    without flags every transaction is premium, i.e. commission-bearing."""
+    if isinstance(transactions, Ledger):
+        app_ids, period_ids, kinds, amounts = transactions.columns
+    else:
+        txs = transactions if isinstance(transactions, Sequence) else list(transactions)
+        app_ids, period_ids = {t.app_id for t in txs}, {t.period for t in txs}
+        kinds, amounts = [t.kind for t in txs], [t.amount_cents for t in txs]
+    if premium_flags is not None and len(amounts) != len(premium_flags):
+        raise DomainError("premium_flags must align with transactions")
+    apps, periods = set(app_ids), set(period_ids)
     flags = repeat(True) if premium_flags is None else premium_flags
-    apps, periods, per_kind = set(), set(), {}
+    per_kind = {}
     app_gross = ad_gross = premium = 0
-    for t, flag in zip(transactions, flags):
-        apps.add(t.app_id)
-        periods.add(t.period)
-        per_kind[t.kind] = per_kind.get(t.kind, 0) + t.amount_cents
+    for kind, cents, flag in zip(kinds, amounts, flags):
+        per_kind[kind] = per_kind.get(kind, 0) + cents
         if flag:
             premium += 1
-            if t.kind == KIND_AD:
-                ad_gross += t.amount_cents
+            if kind == KIND_AD:
+                ad_gross += cents
             else:
-                app_gross += t.amount_cents
+                app_gross += cents
     if len(apps) > 1:
         raise DomainError(f"mixed app ids in one settlement: {sorted(apps)}")
     if len(periods) > 1:
@@ -129,15 +163,12 @@ def settle(transactions: Iterable[Transaction],
     return _build_statement(transactions, policy)
 
 
-def settle_freemium(transactions: Sequence[Transaction],
+def settle_freemium(transactions: Iterable[Transaction],
                     policy: CommissionPolicy,
                     premium_flags: Sequence[bool]) -> SettlementStatement:
     """Settle with commission charged on premium-flagged transactions only;
     free-tier entries are served but counted at zero commission."""
-    txs = list(transactions)
-    if len(txs) != len(premium_flags):
-        raise DomainError("premium_flags must align with transactions")
-    return _build_statement(txs, policy, premium_flags)
+    return _build_statement(transactions, policy, premium_flags)
 
 
 def format_cents(cents: int) -> str:
@@ -151,13 +182,13 @@ def format_cents(cents: int) -> str:
 LEDGER_FIELDS = ("app_id", "period", "kind", "amount_cents")
 
 
-def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
+def parse_ledger(lines: Iterable[str]) -> Tuple[Ledger, List[bool]]:
     """Parse a CSV ledger (app_id,period,kind,amount_cents[,premium]).
-    Returns transactions plus per-row premium flags (default True). Columns
-    may come in any order and blank lines are skipped; a row whose cell
-    count differs from the header's is rejected, as is a cell over csv's
-    field size limit. Errors name the physical line. Equal app ids, periods
-    and kinds share one string object."""
+    Returns the rows in file order as a Ledger, plus per-row premium flags
+    (default True). Columns may come in any order and blank lines are
+    skipped; a column named twice is rejected, as is a row whose cell count
+    differs from the header's and a cell over csv's field size limit. Errors
+    name the physical line. Equal app ids, periods and kinds share one string."""
     import csv
     rows = csv.reader(lines)
     try:
@@ -166,8 +197,11 @@ def parse_ledger(lines: Iterable[str]) -> Tuple[List[Transaction], List[bool]]:
         raise DomainError(f"line {rows.line_num}: {exc}") from None
 
 
-def _parse_rows(rows) -> Tuple[List[Transaction], List[bool]]:
+def _parse_rows(rows) -> Tuple[Ledger, List[bool]]:
     header = next(rows, [])
+    repeated = [f for f in LEDGER_FIELDS + ("premium",) if header.count(f) > 1]
+    if repeated:
+        raise DomainError(f"ledger repeats columns: {repeated}")
     column = {name: i for i, name in enumerate(header)}
     missing = [f for f in LEDGER_FIELDS if f not in column]
     if missing:
@@ -175,26 +209,30 @@ def _parse_rows(rows) -> Tuple[List[Transaction], List[bool]]:
     app, period, kind, amount = (column[f] for f in LEDGER_FIELDS)
     premium = column.get("premium")
     shared: Dict[str, str] = {}
-    txs, flags = [], []
+    app_ids, periods, kinds, amounts, flags = [], [], [], [], []
     for row in filter(None, rows):
         if len(row) != len(header):
             raise DomainError(f"line {rows.line_num}: {len(row)} cells, "
                               f"the header has {len(header)}")
-        a, p, k, cents = row[app], row[period], row[kind], row[amount]
+        a, p, k = row[app], row[period], row[kind]
         try:
-            txs.append(Transaction(shared.setdefault(a, a), shared.setdefault(p, p),
-                                   shared.setdefault(k, k), int(cents)))
-        except DomainError as exc:  # Transaction's own check
+            cents = int(row[amount])
+            _check_transaction(k, cents)
+        except DomainError as exc:
             raise DomainError(f"line {rows.line_num}: {exc}") from None
         except ValueError:  # from int()
-            raise DomainError(f"line {rows.line_num}: amount_cents {cents!r} "
-                              "is not an integer") from None
-        if premium is not None:
-            flags.append(row[premium].strip().lower() not in ("0", "false", "no"))
-    return txs, flags if premium is not None else [True] * len(txs)
+            raise DomainError(f"line {rows.line_num}: amount_cents "
+                              f"{row[amount]!r} is not an integer") from None
+        app_ids.append(shared.setdefault(a, a))
+        periods.append(shared.setdefault(p, p))
+        kinds.append(shared.setdefault(k, k))
+        amounts.append(cents)
+        flags.append(premium is None
+                     or row[premium].strip().lower() not in ("0", "false", "no"))
+    return Ledger(app_ids, periods, kinds, amounts), flags
 
 
-def read_ledger(path) -> Tuple[List[Transaction], List[bool]]:
+def read_ledger(path) -> Tuple[Ledger, List[bool]]:
     """Parse a UTF-8 ledger file (a leading BOM is skipped); a line that is
     not UTF-8 is a DomainError."""
     try:

@@ -79,7 +79,7 @@ class TestGeneratePopulation:
         assert all(0 < p.tech.beta <= 1 for p in pop)
 
     def test_size_bound_checked_before_allocating(self, monkeypatch):
-        # 1e8 developers would be about 130 GB; rejected before any draw
+        # 1e8 developers would be about 48 GB; rejected before any draw
         def no_draws(*args):
             raise AssertionError("seed sequence spawned")
 

@@ -262,6 +262,28 @@ class TestLedgerParsing:
                           row, "a,p,sale,2"])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("name,cell", [
+        ("app_id", "b"), ("period", "q"), ("kind", "ad"), ("amount_cents", "999"),
+        ("premium", "0")])
+    def test_column_named_twice(self, name, cell):
+        with pytest.raises(DomainError) as err:
+            parse_ledger([f"app_id,period,kind,amount_cents,premium,{name}",
+                          f"a,p,sale,100,1,{cell}"])
+        assert str(err.value) == f"ledger repeats columns: [{name!r}]"
+
+    @pytest.mark.parametrize("rows,message", [
+        (["a,p,sale,1.5", "x" * (csv.field_size_limit() + 1) + ",p,sale,1"],
+         "line 2: amount_cents '1.5' is not an integer"),
+        (["a,p,sale,-5", "a,p,tip,5"], "line 2: amount_cents must be >= 0"),
+        (["a,p,tip,1.5"], "line 2: amount_cents '1.5' is not an integer"),
+        (["a,p,tip,-5"], "line 2: unknown transaction kind 'tip'")])
+    def test_first_error_in_file_order_is_reported(self, rows, message):
+        # each row is checked for width, then its integer amount, then its
+        # kind, then its sign, before the next row is read
+        with pytest.raises(DomainError) as err:
+            parse_ledger(["app_id,period,kind,amount_cents"] + rows)
+        assert str(err.value) == message
+
     def test_file_is_read_as_utf8(self, tmp_path):
         path = tmp_path / "ledger.csv"
         path.write_bytes("app_id,period,kind,amount_cents\n"
@@ -390,3 +412,18 @@ class TestLedgerProperty:
         stmt = settle_freemium(txs, policy, flags)
         assert stmt.to_dict() == reference_statement(rows, policy)
         assert stmt.commission_cents + stmt.payout_cents == stmt.gross_cents
+
+    @given(ledger=ledgers(), policy=POLICIES)
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_rows_are_the_reference_transactions(self, ledger, policy):
+        lines, rows = ledger
+        txs, flags = parse_ledger(lines)
+        want = [Transaction("app-1", "2025-01", kind, cents) for kind, cents, _ in rows]
+        assert len(txs) == len(want)
+        assert list(txs) == [txs[i] for i in range(len(txs))] == want
+        assert list(txs[1::2]) == want[1::2]
+        assert flags == [flag for _, _, flag in rows]
+        for statement, args in ((settle, ()), (settle_freemium, (flags,))):
+            got = {statement(source, policy, *args).to_json()
+                   for source in (txs, want, iter(want))}
+            assert len(got) == 1
