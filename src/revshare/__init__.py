@@ -17,7 +17,6 @@ from .model import (
     DomainError,
     EffortCost,
     FreemiumModel,
-    HybridModel,
     MarketplaceModel,
     PayPerTokenModel,
     PlatformParams,
@@ -35,14 +34,11 @@ from .best_response import (
     solve_effort_policy,
     solve_price,
 )
-from .participation import (ParticipationResult, SweepResult, participate,
-                            participation_curve, sweep)
+from .participation import ParticipationResult, SweepResult, participate, sweep
 from .optimizer import (
     EquilibriumReport,
-    marginal_decomposition,
     optimize_alpha,
     platform_profit,
-    profit_curve,
 )
 from .comparator import (
     ComparisonTable,

@@ -34,7 +34,6 @@ from .model import (
     SubscriptionModel,
 )
 from .montecarlo import (
-    MAX_POOL_CELLS,
     MAX_POPULATION,
     PopulationSpec,
     generate_population,
@@ -42,7 +41,7 @@ from .montecarlo import (
     sweep_to_csv,
 )
 from .optimizer import MIN_GRID_STEP, max_rates, optimize_alpha
-from .participation import rate_grid, sweep
+from .participation import MAX_POOL_CELLS, rate_grid, sweep
 from .settlement import (
     KIND_SALE,
     KIND_SUBSCRIPTION,

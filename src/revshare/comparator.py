@@ -27,7 +27,7 @@ always capital-feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .best_response import reduced, solve_effort_policy
@@ -36,7 +36,6 @@ from .model import (
     DeveloperProfile,
     DomainError,
     FreemiumModel,
-    HybridModel,
     MarketplaceModel,
     PayPerTokenModel,
     RsiModel,
@@ -48,7 +47,7 @@ from .numeric import expand_upper_bound, grid_then_golden
 from .participation import developer_profit, entrant_profit
 
 MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
-               "marketplace", "hybrid")
+               "marketplace")
 _NO_COMMISSION = CommissionPolicy.flat(0.0)
 
 
@@ -94,11 +93,6 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
     require_finite_nonneg("platform_cost", platform_cost)
     if not capital >= 0:  # NaN fails too
         raise DomainError("capital must be >= 0")
-    if isinstance(model, HybridModel):
-        best = max((evaluate_model(profile, member, platform_cost, capital)
-                    for member in model.choices), key=_dev_key)
-        return replace(best, model="hybrid")
-
     policy, t, quota, lump = fee_schedule(model)
     if t == 0.0:  # no per-request charge: the revenue-sharing problem
         br = solve_effort_policy(profile, policy)
@@ -125,11 +119,6 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
                         platform_profit=platform, effort=e, usage=q,
                         gross_revenue=r, upfront_cost=upfront,
                         entered=feasible and dev >= profile.reservation_profit)
-
-
-def _dev_key(out: ModelOutcome):
-    # entered rows dominate; ties fall back to the fixed model order
-    return (out.entered, out.developer_profit, -MODEL_ORDER.index(out.model))
 
 
 def compare_models(profile: DeveloperProfile, models: Sequence,

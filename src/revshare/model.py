@@ -270,18 +270,6 @@ class MarketplaceModel:
         require_finite_nonneg("token_price", self.token_price)
 
 
-@dataclass(frozen=True)
-class HybridModel:
-    """Developer opts into whichever member model they prefer."""
-    tag = "hybrid"
-    choices: Tuple = ()
-
-    def __post_init__(self):
-        if not self.choices:
-            raise DomainError("hybrid choice set must be non-empty")
-        object.__setattr__(self, "choices", tuple(self.choices))
-
-
 # --- Pointwise evaluation ---
 
 def revenue(tech: RevenueTechnology, effort: float,

@@ -30,13 +30,11 @@ from .model import (
     RevenueTechnology,
     require_finite_nonneg,
 )
-from .participation import SweepResult, entrant_profit, participate, sweep  # noqa: F401
+from .participation import MAX_POOL_CELLS, entrant_profit, participate
+from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
 
-# draws x developers above which risk_pooling_report refuses to allocate
-# its hit matrix (about 9 bytes a cell, so about 90 MB)
-MAX_POOL_CELLS = 10_000_000
 # developers per generated population (about 480 B retained each: 48 MB)
 MAX_POPULATION = 100_000
 

@@ -1,14 +1,14 @@
-"""Outer Stackelberg stage: pick the commission rate maximizing platform
-profit, anticipating developer best responses and entry.
+"""Outer Stackelberg stage: pick the flat commission rate maximizing
+platform profit, anticipating developer best responses and entry.
 
 Platform profit at a rate is the sum, over the developers who enter, of
 each entrant's commission (waived while the entrant's request volume is
 below the policy's ``activity_threshold``) plus ``ad_share * ad_revenue``
 minus ``marginal_cost * usage``. ``participation.entrant_profit`` is its
-one definition, and ``participate`` adds it up in developer-id order in
-the same pass that decides entry, and ``participation.sweep`` is the one
-walk over a set of rates, so every entry point here gives bit-identical
-profits at a given rate.
+one definition. ``participation.sweep`` is the one walk of a population
+over a set of rates, and ``participate`` makes the same additions in the
+same developer-id order at one rate, so ``platform_profit`` and
+``optimize_alpha`` give bit-identical profits at a given rate.
 
 Profit over alpha can jump where entrants exit, so the search is a dense
 coarse grid (global coverage) followed by shrinking-grid refinement around
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .best_response import BestResponse, solve_effort
+from .best_response import BestResponse
 from .model import CommissionPolicy, DomainError, PlatformParams
-from .participation import developer_profit, participate, rate_grid, sweep
+from .participation import participate, rate_grid, sweep
 
 # finest outer-search grid step; a finer step would allocate ~1/step rates
 MIN_GRID_STEP = 1e-6
@@ -52,9 +52,9 @@ class EquilibriumReport:
 def platform_profit(params: PlatformParams,
                     policy: Optional[CommissionPolicy] = None,
                     alpha: Optional[float] = None) -> float:
-    """Total platform profit over the entrants at rate alpha (default: the
-    flat policy's rate, else 0), or under a degressive policy."""
-    if alpha is None and (policy is None or policy.is_flat):
+    """Total platform profit over the entrants at flat rate alpha (default:
+    the flat policy's rate, else 0); a degressive policy is a DomainError."""
+    if alpha is None:
         alpha = 0.0 if policy is None else policy.rate
     return participate(params.population, alpha, policy,
                        params.marginal_cost).platform_profit
@@ -124,40 +124,3 @@ def optimize_alpha(params: PlatformParams,
         analytic_alpha=_canonical_alpha(params, policy),
         degenerate=pi_star <= 0.0,
     )
-
-
-def profit_curve(params: PlatformParams, alpha_grid: Sequence[float],
-                 policy: Optional[CommissionPolicy] = None
-                 ) -> List[Tuple[float, float, int]]:
-    """(alpha, profit, entrant count) samples for plotting/export."""
-    swept = sweep(params.population, alpha_grid, params.marginal_cost, policy)
-    return list(zip(alpha_grid, swept.platform_profits, swept.entrant_counts))
-
-
-def marginal_decomposition(params: PlatformParams, alpha: float, h: float = 1e-4,
-                           reservation_cdf: Optional[Callable[[float], float]] = None
-                           ) -> Tuple[float, float]:
-    """Split dProfit/dalpha into the extensive (entry) and intensive
-    (per-entrant margin) terms by central finite differences.
-
-    With a known reservation-profit distribution the entry derivative uses
-    the smoothed expected count instead of raw integer differencing.
-    """
-    if not (0 < alpha < 1):
-        raise DomainError("alpha must be interior for the decomposition")
-    if h <= 0 or alpha - h < 0 or alpha + h > 1:
-        raise DomainError("step h leaves [0,1]")
-
-    swept = sweep(params.population, [alpha - h, alpha, alpha + h],
-                  params.marginal_cost)
-    n_lo, n_mid, n_hi = map(float, swept.entrant_counts)
-    m_lo, m_mid, m_hi = (pi / n if n else 0.0 for pi, n in
-                         zip(swept.platform_profits, swept.entrant_counts))
-    if reservation_cdf is not None:  # smoothed expected count
-        ordered = sorted(params.population, key=lambda q: q.id)
-        n_lo, n_mid, n_hi = (
-            sum(reservation_cdf(developer_profit(p, solve_effort(p, a).net_profit))
-                for p in ordered) for a in swept.alphas)
-    n_prime = (n_hi - n_lo) / (2 * h)
-    m_prime = (m_hi - m_lo) / (2 * h)
-    return n_prime * m_mid, n_mid * m_prime

@@ -1,5 +1,5 @@
 """Entry decisions: which developers clear their outside option at a given
-commission rate, the participation count N(alpha), and the platform's
+flat commission rate, the participation count N(alpha), and the platform's
 profit from the developers who enter.
 
 Entry uses a weak inequality (profit >= reservation) so the zero-reservation
@@ -18,9 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .best_response import BestResponse, responder, solve_effort, solve_effort_policy
+from .best_response import BestResponse, responder, solve_effort
 from .model import (CommissionPolicy, DeveloperProfile, DomainError,
                     require_finite_nonneg)
+
+# developer x rate (or x draw) cells above which a grid or a pool is refused:
+# about 9 bytes a cell in a pool's hit matrix, so about 90 MB
+MAX_POOL_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,14 @@ def entrant_profit(profile: DeveloperProfile, gross: float, usage: float,
             - marginal_cost * usage)
 
 
-def _checked(population: Sequence[DeveloperProfile], alpha: Optional[float],
+def _checked(population: Sequence[DeveloperProfile], alpha: float,
              policy: CommissionPolicy | None):
-    """``participate``'s checks: the policy it charges at rate alpha, and the
-    profiles in developer-id order, where a duplicate id is an error."""
+    """``participate``'s checks: the flat policy it charges at rate alpha, and
+    the profiles in developer-id order, where a duplicate id is an error."""
     if policy is None:
         policy = CommissionPolicy.flat(alpha)
     elif not policy.is_flat:
-        if alpha is not None:
-            raise DomainError("a rate alpha applies to flat policies only")
+        raise DomainError("entry is evaluated at flat rates, not a degressive policy")
     elif policy.rate != alpha:
         policy = CommissionPolicy.flat(alpha, policy.ad_share,
                                        policy.activity_threshold)
@@ -77,7 +80,7 @@ def _checked(population: Sequence[DeveloperProfile], alpha: Optional[float],
     return policy, ordered
 
 
-def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
+def participate(population: Sequence[DeveloperProfile], alpha: float,
                 policy: CommissionPolicy | None = None,
                 marginal_cost: float = 0.0) -> ParticipationResult:
     """Evaluate entry for every developer at commission rate alpha and total
@@ -85,15 +88,15 @@ def participate(population: Sequence[DeveloperProfile], alpha: Optional[float],
     order.
 
     A flat ``policy`` supplies the ad share and activity threshold charged
-    at rate alpha. A degressive ``policy`` is applied as is, and alpha must
-    then be None. Duplicate developer ids are a DomainError.
+    at rate alpha. A degressive ``policy`` and duplicate developer ids are
+    a DomainError.
     """
     policy, ordered = _checked(population, alpha, policy)
     profits: Dict[str, float] = {}
     responses: Dict[str, BestResponse] = {}
     platform = surplus = 0.0
     for profile in ordered:
-        br = solve_effort_policy(profile, policy)
+        br = solve_effort(profile, policy.rate)
         pi = developer_profit(profile, br.net_profit, policy)
         if pi >= profile.reservation_profit:
             profits[profile.id] = pi
@@ -115,10 +118,16 @@ def row_pow(row: np.ndarray, y: float) -> np.ndarray:
 
 
 def rate_grid(lo: float, hi: float, step: float) -> List[float]:
-    """n + 1 evenly spaced rates from lo to hi, n = round((hi - lo) / step)."""
-    n = int(round((hi - lo) / step))
+    """n + 1 evenly spaced rates from lo to hi, n = round((hi - lo) / step),
+    at most ``MAX_POOL_CELLS`` rates; checked before the list is built."""
+    if not (step > 0 and all(map(math.isfinite, (lo, hi, step)))):
+        raise DomainError("sweep grid needs finite bounds and a finite step > 0")
+    span = (hi - lo) / step  # inf when the division overflows
+    n = int(round(span)) if span < MAX_POOL_CELLS else MAX_POOL_CELLS
     if n < 1:
         raise DomainError("empty sweep grid: step larger than range")
+    if n >= MAX_POOL_CELLS:
+        raise DomainError(f"sweep grid has more than {MAX_POOL_CELLS} rates")
     return [lo + i * (hi - lo) / n for i in range(n + 1)]
 
 
@@ -180,15 +189,3 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
                            s / c if c else 0.0 for s, c in zip(surplus, counts)),
                        total_developer_surplus=tuple(surplus),
                        argmax_alpha=best_a)
-
-
-def participation_curve(population: Sequence[DeveloperProfile],
-                        alpha_grid: Sequence[float]) -> List[Tuple[float, int]]:
-    """N(alpha) over an ascending grid; the curve must be non-increasing
-    under a flat commission and is asserted as such."""
-    curve = list(zip(alpha_grid, sweep(population, alpha_grid, 0.0).entrant_counts))
-    for (a1, n1), (a2, n2) in zip(curve, curve[1:]):
-        if n2 > n1:
-            raise AssertionError(
-                f"participation increased from N({a1})={n1} to N({a2})={n2}")
-    return curve

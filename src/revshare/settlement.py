@@ -68,6 +68,15 @@ class Ledger(Sequence[Transaction]):
     def __iter__(self):
         return map(Transaction, *self.columns)
 
+    def __eq__(self, other):
+        """Equal to a Ledger with equal columns, or to a list of the same
+        Transactions in the same order."""
+        if isinstance(other, Ledger):
+            return self.columns == other.columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
 
 @dataclass(frozen=True)
 class SettlementStatement:

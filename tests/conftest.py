@@ -1,8 +1,8 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and test helpers.
 
 The oracles here never call the solver's search paths: effort optima come
 from dense numpy grid scans of the profit function evaluated directly from
-the model formulas.
+the model formulas. ``participation_counts`` reads N(alpha) off ``sweep``.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from revshare.model import (
     EffortCost,
     RevenueTechnology,
 )
+from revshare.participation import sweep
 
 
 @pytest.fixture
@@ -50,6 +51,15 @@ def central_diff(f, x, h=None):
     if x - h < 0:
         return (f(x + h) - f(x)) / h
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def participation_counts(population, alpha_grid):
+    """N(alpha) over an ascending grid, read off ``sweep``; a flat
+    commission makes it non-increasing, which is asserted."""
+    counts = sweep(population, alpha_grid, 0.0).entrant_counts
+    for a1, n1, a2, n2 in zip(alpha_grid, counts, alpha_grid[1:], counts[1:]):
+        assert n2 <= n1, f"participation increased from N({a1})={n1} to N({a2})={n2}"
+    return counts
 
 
 def grid_best_effort(profile, alpha, e_max, step=1e-6):

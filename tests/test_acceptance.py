@@ -23,13 +23,13 @@ from revshare.model import (
 )
 from revshare.montecarlo import Distribution, PopulationSpec, generate_population
 from revshare.optimizer import optimize_alpha
-from revshare.participation import participation_curve
 from revshare.settlement import Transaction, settle
 
 from conftest import (
     central_diff,
     grid_best_effort,
     oracle_alpha_grid,
+    participation_counts,
     random_profiles,
     revenue_grid,
 )
@@ -115,8 +115,7 @@ def test_criterion_4_comparative_statics():
                           if e2 > e1 + 1e-12)
     for seed in range(5):
         pop = random_profiles(40, seed=seed, reservation_hi=0.3)
-        curve = participation_curve(pop, sorted_alphas)
-        counts = [n for _, n in curve]
+        counts = participation_counts(pop, sorted_alphas)
         violations += sum(1 for n1, n2 in zip(counts, counts[1:]) if n2 > n1)
     report(4, violations == 0,
            f"effort and N(alpha) monotone in alpha: {violations} violations")

@@ -13,7 +13,6 @@ from revshare.model import (
     DomainError,
     EffortCost,
     FreemiumModel,
-    HybridModel,
     MarketplaceModel,
     PayPerTokenModel,
     RevenueTechnology,
@@ -49,8 +48,7 @@ class TestEvaluateModel:
         assert out.platform_profit == res.platform_profit
         assert out.platform_profit == pytest.approx(0.36, abs=1e-12)
 
-    @pytest.mark.parametrize("model", [RSI60, PayPerTokenModel(token_price=0.2),
-                                       HybridModel(choices=(RSI60,))])
+    @pytest.mark.parametrize("model", [RSI60, PayPerTokenModel(token_price=0.2)])
     def test_negative_capital_rejected(self, canonical_profile, model):
         for capital in (-1.0, -1e-12, -math.inf, math.nan):
             with pytest.raises(DomainError, match="capital must be >= 0"):
@@ -93,11 +91,6 @@ class TestEvaluateModel:
                              platform_cost=0.0)
         # FOC: (1-kappa) - c_t = k e -> e = 0.65
         assert out.effort == pytest.approx(0.65, abs=1e-6)
-
-    def test_hybrid_picks_best_member(self, canonical_profile):
-        hybrid = HybridModel(choices=(RSI60, SubscriptionModel(fee=0.0)))
-        out = evaluate_model(canonical_profile, hybrid, platform_cost=0.0)
-        assert out.developer_profit == pytest.approx(0.5, abs=1e-12)
 
     def test_every_model_satisfies_own_foc(self):
         models = [

@@ -12,7 +12,6 @@ from revshare.model import (
     DomainError,
     EffortCost,
     FreemiumModel,
-    HybridModel,
     MarketplaceModel,
     PayPerTokenModel,
     PlatformParams,
@@ -238,7 +237,3 @@ class TestBusinessModelValidation:
         for cost, capital in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)):
             with pytest.raises(DomainError):
                 evaluate_model(canonical_profile, ppt, cost, capital)
-
-    def test_hybrid_requires_choices(self):
-        with pytest.raises(DomainError):
-            HybridModel(choices=())

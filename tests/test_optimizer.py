@@ -6,18 +6,11 @@ import pytest
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
-    DomainError,
     EffortCost,
     PlatformParams,
     RevenueTechnology,
 )
-from revshare.optimizer import (
-    marginal_decomposition,
-    max_rates,
-    optimize_alpha,
-    platform_profit,
-    profit_curve,
-)
+from revshare.optimizer import max_rates, optimize_alpha, platform_profit
 from revshare.participation import participate, sweep
 
 from conftest import random_profiles
@@ -79,12 +72,11 @@ class TestEntryPointsAgree:
     def test_sweep_curve_and_profit_bit_identical(self):
         params = self.ad_params()
         swept = sweep(params.population, self.GRID, params.marginal_cost)
-        curve = profit_curve(params, self.GRID)
-        for a, from_sweep, (a_curve, from_curve, n) in zip(
-                self.GRID, swept.platform_profits, curve):
-            assert a_curve == a
-            assert from_sweep == from_curve == platform_profit(params, alpha=a)
-        assert swept.entrant_counts == tuple(n for _, _, n in curve)
+        assert swept.alphas == tuple(self.GRID)
+        for a, from_sweep, n in zip(self.GRID, swept.platform_profits,
+                                    swept.entrant_counts):
+            assert from_sweep == platform_profit(params, alpha=a)
+            assert n == participate(params.population, a).count
         assert len(set(swept.entrant_counts)) > 1
 
     def test_curve_and_profit_bit_identical_under_policy(self):
@@ -92,15 +84,14 @@ class TestEntryPointsAgree:
         # the threshold sits inside the usage range, so it binds for some
         # entrants at some rates and not at others
         policy = CommissionPolicy.flat(0.0, ad_share=0.3, activity_threshold=0.4)
-        curve = profit_curve(params, self.GRID, policy)
         swept = sweep(params.population, self.GRID, params.marginal_cost,
                       policy=policy)
-        for a, from_sweep, (_, from_curve, _) in zip(
-                self.GRID, swept.platform_profits, curve):
-            assert from_sweep == from_curve == platform_profit(params, policy,
-                                                                alpha=a)
-        assert swept.entrant_counts == tuple(n for _, _, n in curve)
-        assert curve != profit_curve(params, self.GRID)
+        for a, from_sweep, n in zip(self.GRID, swept.platform_profits,
+                                    swept.entrant_counts):
+            assert from_sweep == platform_profit(params, policy, alpha=a)
+            assert n == participate(params.population, a, policy).count
+        assert swept.platform_profits != sweep(
+            params.population, self.GRID, params.marginal_cost).platform_profits
 
 
 class TestOptimizeAlpha:
@@ -126,7 +117,7 @@ class TestOptimizeAlpha:
         params = canonical_params(0.2)
         report = optimize_alpha(params)
         grid = [i / 1000 for i in range(1001)]  # the search's own coarse grid
-        for _, pi, _ in profit_curve(params, grid):
+        for pi in sweep(params.population, grid, 0.2).platform_profits:
             assert report.platform_profit >= pi - 1e-9
 
     def test_degenerate_market_flagged(self):
@@ -223,8 +214,8 @@ class TestOptimizeAlphaMatchesReferenceLoops:
 
     def test_flat_profit_band_ties_at_zero(self):
         params, policy = ad_band_params()
-        curve = profit_curve(params, [0.0, 0.005, 0.01], policy)
-        assert len({pi for _, pi, _ in curve}) == 1  # a tie, not a slope
+        curve = sweep(params.population, [0.0, 0.005, 0.01], 0.0, policy)
+        assert len(set(curve.platform_profits)) == 1  # a tie, not a slope
         report = self.assert_same(params, policy)
         assert report.alpha_star == 0.0 and report.diagnostics["refine_iterations"] > 0
 
@@ -242,65 +233,27 @@ class TestMaxRates:
 
 
 class TestProfitCurve:
-    def test_canonical_parabola(self):
-        params = canonical_params(0.2)
-        curve = profit_curve(params, [0.2, 0.6, 1.0])
-        values = [pi for _, pi, _ in curve]
-        assert values == pytest.approx([0.0, 0.16, 0.0], abs=1e-12)
+    """The canonical developer's profit curve, (1 - alpha)(alpha - c), as
+    ``sweep`` reports it."""
 
-    def test_pointwise_formula(self):
-        params = canonical_params(0.3)
+    def test_canonical_parabola(self, canonical_profile):
+        swept = sweep([canonical_profile], [0.2, 0.6, 1.0], 0.2)
+        assert swept.platform_profits == pytest.approx([0.0, 0.16, 0.0],
+                                                       abs=1e-12)
+
+    def test_pointwise_formula(self, canonical_profile):
         grid = list(np.linspace(0, 1, 26))
-        for a, pi, n in profit_curve(params, grid):
+        swept = sweep([canonical_profile], grid, 0.3)
+        for a, pi, n in zip(grid, swept.platform_profits, swept.entrant_counts):
             assert pi == pytest.approx((1 - a) * (a - 0.3), abs=1e-12)
             assert n == 1
 
-    def test_parabola_symmetry(self):
-        params = canonical_params(0.2)
-        curve = profit_curve(params, [0.5, 0.7])  # alpha* = 0.6 +/- 0.1
-        assert curve[0][1] == pytest.approx(curve[1][1], abs=1e-12)
+    def test_parabola_symmetry(self, canonical_profile):
+        # alpha* = 0.6 +/- 0.1
+        lo, hi = sweep([canonical_profile], [0.5, 0.7], 0.2).platform_profits
+        assert lo == pytest.approx(hi, abs=1e-12)
 
     def test_empty_population(self):
-        params = PlatformParams(marginal_cost=0.2, population=[])
-        assert all(pi == 0 and n == 0
-                   for _, pi, n in profit_curve(params, [0.0, 0.5, 1.0]))
-
-
-class TestMarginalDecomposition:
-    def test_participation_term_zero_when_n_constant(self):
-        params = canonical_params(0.2)
-        for a in (0.3, 0.5, 0.7):
-            part, _ = marginal_decomposition(params, a)
-            assert part == pytest.approx(0.0, abs=1e-9)
-
-    def test_intensive_term_vanishes_at_optimum(self):
-        part, intensive = marginal_decomposition(canonical_params(0.2), 0.6)
-        assert part + intensive == pytest.approx(0.0, abs=1e-3)
-
-    def test_rising_profit_before_optimum(self):
-        part, intensive = marginal_decomposition(canonical_params(0.2), 0.4)
-        assert part + intensive == pytest.approx(0.4, abs=1e-3)
-
-    def test_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            marginal_decomposition(canonical_params(0.2), 0.0)
-        with pytest.raises(DomainError):
-            marginal_decomposition(canonical_params(0.2), 1.0, h=0.5)
-
-    def test_smoothed_entry_derivative(self):
-        # uniform pi0 on [0, 0.1]: smoothed N(alpha) = M * min(1, pi(alpha)/0.1)
-        rng = np.random.default_rng(8)
-        pop = [DeveloperProfile(
-            id=f"d{i:03d}", tech=RevenueTechnology(family="linear"),
-            cost=EffortCost(), reservation_profit=float(rng.uniform(0, 0.1)))
-            for i in range(50)]
-        params = PlatformParams(marginal_cost=0.1, population=pop)
-
-        def cdf(x):
-            return min(1.0, max(0.0, x / 0.1))
-
-        part, intensive = marginal_decomposition(params, 0.8,
-                                                 reservation_cdf=cdf)
-        # pi(alpha) = (1-alpha)^2/2 = 0.02 < 0.1, so entry is interior and
-        # the smoothed entry term must be strictly negative
-        assert part < 0
+        swept = sweep([], [0.0, 0.5, 1.0], 0.2)
+        assert swept.platform_profits == (0.0, 0.0, 0.0)
+        assert swept.entrant_counts == (0, 0, 0)

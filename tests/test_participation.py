@@ -1,17 +1,19 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revshare.model import (CommissionPolicy, DeveloperProfile, DomainError,
-                            EffortCost, RevenueTechnology,
+                            EffortCost, PlatformParams, RevenueTechnology,
                             require_finite_nonneg)
-from revshare.participation import (SweepResult, participate,
-                                    participation_curve, rate_grid, sweep)
+from revshare.optimizer import platform_profit
+from revshare.participation import (MAX_POOL_CELLS, SweepResult, participate,
+                                    rate_grid, sweep)
 
-from conftest import random_profiles
+from conftest import participation_counts, random_profiles
 
 
 def make_dev(dev_id, pi0):
@@ -58,24 +60,35 @@ class TestParticipate:
             else:
                 assert pi < p.reservation_profit
 
+    def test_degressive_policy_rejected(self, canonical_profile):
+        policy = CommissionPolicy.degressive([(0.0, 0.3), (1.0, 0.1)])
+        params = PlatformParams(marginal_cost=0.1, population=[canonical_profile])
+        for evaluate in (lambda: participate([canonical_profile], None, policy),
+                         lambda: participate([canonical_profile], 0.3, policy),
+                         lambda: platform_profit(params, policy),
+                         lambda: platform_profit(params, policy, alpha=0.3)):
+            with pytest.raises(DomainError, match="degressive policy"):
+                evaluate()
+
 
 class TestParticipationCurve:
+    """N(alpha) as ``sweep`` reports it."""
+
     def test_zero_reservation_always_in_below_one(self, canonical_profile):
-        curve = participation_curve([canonical_profile],
-                                    [0.0, 0.25, 0.5, 0.75, 0.99])
-        assert all(n == 1 for _, n in curve)
+        counts = participation_counts([canonical_profile],
+                                      [0.0, 0.25, 0.5, 0.75, 0.99])
+        assert counts == (1,) * 5
 
     def test_empty_population_all_zero(self):
-        curve = participation_curve([], [0.0, 0.5, 1.0])
-        assert all(n == 0 for _, n in curve)
+        assert participation_counts([], [0.0, 0.5, 1.0]) == (0, 0, 0)
 
     def test_unsorted_grid_rejected(self, canonical_profile):
-        with pytest.raises(DomainError):
-            participation_curve([canonical_profile], [0.5, 0.2])
+        with pytest.raises(DomainError, match="sorted ascending"):
+            sweep([canonical_profile], [0.5, 0.2], 0.0)
 
     def test_rate_outside_unit_interval_rejected(self, canonical_profile):
         with pytest.raises(DomainError, match="rate out of"):
-            participation_curve([canonical_profile], [0.5, 1.5])
+            sweep([canonical_profile], [0.5, 1.5], 0.0)
 
     def test_analytic_crosscheck_uniform_reservations(self):
         # pi(alpha) = A^2 (1-alpha)^2 / (2k) = (1-alpha)^2/2 here
@@ -90,14 +103,13 @@ class TestParticipationCurve:
         grid = list(np.linspace(0, 1, 11))
         for seed in range(5):
             pop = random_profiles(30, seed=seed, reservation_hi=0.4)
-            curve = participation_curve(pop, grid)  # raises if increasing
-            counts = [n for _, n in curve]
-            assert counts == sorted(counts, reverse=True)
+            counts = participation_counts(pop, grid)  # asserts non-increasing
+            assert list(counts) == sorted(counts, reverse=True)
 
     def test_deterministic(self):
         pop = random_profiles(20, seed=77, reservation_hi=0.2)
         grid = list(np.linspace(0, 1, 21))
-        assert participation_curve(pop, grid) == participation_curve(pop, grid)
+        assert sweep(pop, grid, 0.1) == sweep(pop, grid, 0.1)
 
 
 class TestRateGrid:
@@ -114,6 +126,25 @@ class TestRateGrid:
         with pytest.raises(DomainError,
                            match="empty sweep grid: step larger than range"):
             rate_grid(0.2, 0.3, 0.5)
+
+    @pytest.mark.parametrize("lo,hi,step,message", [
+        (0.0, 1.0, 0.0, "step > 0"),
+        (0.0, 1.0, -0.1, "step > 0"),
+        (0.0, 1.0, math.nan, "finite"),
+        (math.nan, 1.0, 0.1, "finite"),
+        (0.0, math.nan, 0.1, "finite"),
+        (0.0, math.inf, 0.1, "finite"),
+        (-math.inf, 1.0, 0.1, "finite"),
+        (0.0, 1.0, math.inf, "finite"),
+        (0.0, 1.0, 1e-300, f"more than {MAX_POOL_CELLS} rates"),
+        (-1e308, 1e308, 1.0, f"more than {MAX_POOL_CELLS} rates"),
+        (0.0, 1.0, 1e-7, f"more than {MAX_POOL_CELLS} rates"),
+        (0.3, 0.2, 0.1, "empty sweep grid: step larger than range"),
+    ])
+    def test_bad_grid_is_a_domain_error_before_allocating(self, lo, hi, step,
+                                                          message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rate_grid(lo, hi, step)
 
 
 def reference_sweep(population, alpha_grid, marginal_cost, policy=None):

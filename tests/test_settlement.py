@@ -229,6 +229,14 @@ class TestLedgerParsing:
         stmt = settle_freemium(txs, FLAT25, flags)
         assert stmt.free_count == 1
 
+    def test_rows_equal_by_value(self):
+        lines = ["app_id,period,kind,amount_cents", "a,p,sale,5", "a,q,ad,7"]
+        rows, _ = parse_ledger(lines)
+        want = [Transaction("a", "p", "sale", 5), Transaction("a", "q", "ad", 7)]
+        assert rows == want and want == rows
+        assert rows[:] == rows == parse_ledger(lines)[0]
+        assert rows != want[::-1] and rows != want[:1] and rows[1:] != rows
+
     def test_missing_column(self):
         with pytest.raises(DomainError):
             parse_ledger(["app_id,period,kind", "a,p,sale"])
