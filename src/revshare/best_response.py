@@ -99,28 +99,29 @@ def foc_residual(profile: DeveloperProfile, alpha: float, effort: float) -> floa
     return retained * rprime - marginal_effort_cost(profile.cost, effort)
 
 
+def closed_form(alpha, scale: float, beta: float, kappa: Optional[float],
+                k: float, m: float, pw=pow) -> tuple:
+    """(effort, gross revenue, usage, net profit) at flat rate alpha for
+    R = A*e^beta, usage kappa*R (e if kappa is None) and phi = k*e^m/m; alpha
+    a float, or a float64 row of rates with ``pw=participation.row_pow``. The
+    one statement of (1-alpha)*A*beta*e^(beta-1) = k*e^(m-1), agreeing bit
+    for bit with ``reduced`` and ``effort_cost``: e^2 is ``e * e``, other
+    powers ``pw``."""
+    retained = 1.0 - alpha
+    e = pw(retained * scale * beta / k, 1.0 / (m - beta))
+    gross = scale * pw(e, beta)
+    phi = k * (e * e if m == 2 else pw(e, m)) / m
+    return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
+
+
 def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
-    """One developer's closed-form best response, built once: a map from a
-    flat rate alpha to (effort, gross revenue, usage, net profit); None for
-    linear_demand. Alpha is a float, or a float64 row of rates with
-    ``pw=participation.row_pow``. The one statement of
-    (1-alpha)*A*beta*e^(beta-1) = k*e^(m-1), agreeing bit for bit with
-    ``reduced`` and ``effort_cost``: e^2 is ``e * e``, other powers ``pw``."""
+    """``closed_form`` for one developer, a map from alpha (and ``pw``);
+    None for linear_demand, which has no closed form."""
     tech, cost = profile.tech, profile.cost
     if tech.family == LINEAR_DEMAND:
         return None
-    scale, beta, kappa = tech.scale, tech.beta, tech.usage_per_revenue
-    k, m = cost.k, cost.exponent
-    power = 1.0 / (m - beta)
-
-    def respond(alpha, pw=pow) -> tuple:
-        retained = 1.0 - alpha
-        e = pw(retained * scale * beta / k, power)
-        gross = scale * pw(e, beta)
-        phi = k * (e * e if m == 2 else pw(e, m)) / m
-        return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
-
-    return respond
+    params = (tech.scale, tech.beta, tech.usage_per_revenue, cost.k, cost.exponent)
+    return lambda alpha, pw=pow: closed_form(alpha, *params, pw)
 
 
 def _reduced_profit(profile: DeveloperProfile, retained: float):

@@ -112,8 +112,8 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
         _, r, q = reduced(tech, e)
         net = objective(e)
     upfront = t * (q - quota if q > quota else 0.0) + lump
-    dev = developer_profit(profile, net, policy)
-    platform = entrant_profit(profile, r, q, policy, platform_cost) + upfront
+    dev = developer_profit(profile.ad_revenue, net, policy)
+    platform = entrant_profit(profile.ad_revenue, r, q, policy, platform_cost) + upfront
     feasible = upfront <= capital + 1e-9  # absorb numeric-optimizer noise
     return ModelOutcome(model=model.tag, developer_profit=dev,
                         platform_profit=platform, effort=e, usage=q,

@@ -9,6 +9,7 @@ and safe to share across workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -32,6 +33,12 @@ def require_finite_nonneg(name: str, value: float) -> None:
     """DomainError unless 0 <= value < inf; NaN fails too."""
     if not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and >= 0")
+
+
+def require_rate(rate: float) -> None:
+    """DomainError unless 0 <= rate <= 1; NaN fails too."""
+    if not 0 <= rate <= 1:
+        raise DomainError("rate out of [0,1]")
 
 
 @dataclass(frozen=True)
@@ -120,18 +127,50 @@ class DeveloperProfile:
         require_finite_nonneg("ad_revenue", self.ad_revenue)
 
 
+class Population(Sequence[DeveloperProfile]):
+    """Generated developers as columns, validated as they were drawn: id
+    numbers (a range; number i is ``f"dev-{i:05d}"``), revenue families, and
+    float64 arrays of A, beta, k and reservation profit; costs quadratic, no
+    usage link, no ad revenue. A profile is built only when it is indexed."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, keys: range, families: list, scale, beta, k, reservation):
+        self.columns = (keys, families, scale, beta, k, reservation)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        key, family, scale, beta, k, reservation = (c[index] for c in self.columns)
+        if isinstance(index, slice):
+            return Population(key, family, scale, beta, k, reservation)
+        return DeveloperProfile(
+            id=f"dev-{key:05d}",
+            tech=RevenueTechnology(family, scale=float(scale), beta=float(beta)),
+            cost=EffortCost(QUADRATIC, k=float(k)),
+            reservation_profit=float(reservation))
+
+    def __eq__(self, other):
+        """Equal to a Population or a list of the same profiles in order."""
+        if isinstance(other, (Population, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     """Platform-side primitives: per-request serving cost and the developer
-    population."""
+    population, kept as it is when it is a ``Population``."""
 
     marginal_cost: float
-    population: Tuple[DeveloperProfile, ...]
+    population: Sequence[DeveloperProfile]
 
     def __init__(self, marginal_cost, population):
         require_finite_nonneg("marginal_cost", marginal_cost)
         object.__setattr__(self, "marginal_cost", float(marginal_cost))
-        object.__setattr__(self, "population", tuple(population))
+        object.__setattr__(self, "population", population
+                           if isinstance(population, Population) else tuple(population))
 
 
 @dataclass(frozen=True)
@@ -151,8 +190,8 @@ class CommissionPolicy:
     def __post_init__(self):
         if (self.rate is None) == (self.breakpoints is None):
             raise DomainError("exactly one of rate / breakpoints must be set")
-        if self.rate is not None and not (0 <= self.rate <= 1):
-            raise DomainError("rate out of [0,1]")
+        if self.rate is not None:
+            require_rate(self.rate)
         if self.breakpoints is not None:
             object.__setattr__(self, "breakpoints", tuple(
                 (float(t), float(r)) for t, r in self.breakpoints))
@@ -165,8 +204,7 @@ class CommissionPolicy:
                         f"degressive breakpoints out of order: {t1} before {t2}")
             for t, r in bps:
                 require_finite_nonneg("degressive threshold", t)
-                if not (0 <= r <= 1):
-                    raise DomainError("rate out of [0,1]")
+                require_rate(r)
         if self.ad_share is not None and not (0 <= self.ad_share <= 1):
             raise DomainError("ad_share out of [0,1]")
         require_finite_nonneg("activity_threshold", self.activity_threshold)

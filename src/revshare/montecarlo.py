@@ -3,10 +3,10 @@
 Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
 numbers: developer i draws ``default_rng(SeedSequence(seed).spawn(size)[i])``.
-One NumPy pass computes every developer's first doubles; a lognormal draw, or
-rejections that use them up, go on in that substream's own generator.
-``sweep`` and ``SweepResult`` live in ``participation`` and are re-exported
-here; aggregates are summed in sorted-id order for bit-for-bit reproducibility.
+A population is columns (``model.Population`` builds a profile when indexed)
+from one NumPy pass over each developer's first doubles; a lognormal draw,
+or rejections that use them up, go on in that substream's own generator.
+``participation.sweep`` and ``SweepResult`` (sums in id order) are re-exported.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,11 +24,9 @@ from .model import (
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
-    EffortCost,
     LINEAR_EFFORT,
     POWER_EFFORT,
-    QUADRATIC,
-    RevenueTechnology,
+    Population,
     require_finite_nonneg,
 )
 from .participation import MAX_POOL_CELLS, entrant_profit, participate
@@ -35,7 +34,7 @@ from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
 
-# developers per generated population (about 480 B retained each: 48 MB)
+# developers per generated population (about 41 B retained each: 4 MB)
 MAX_POPULATION = 100_000
 
 UNIFORM = "uniform"
@@ -176,37 +175,41 @@ def _draw_positive(dist: Distribution, rng, lo=0.0, hi=math.inf,
                       f"({lo}, {hi}] after {max_tries} tries")
 
 
-def generate_population(spec: PopulationSpec) -> List[DeveloperProfile]:
-    """Deterministic heterogeneous population from a seeded spec."""
-    rows = _substream_doubles(spec.seed, spec.size).tolist()
-    profiles: List[DeveloperProfile] = []
+def _uniform(dist: Distribution, u: np.ndarray) -> np.ndarray:
+    """NumPy's uniform draw at each double of u; NaN for a lognormal."""
+    return dist.a + (dist.b - dist.a) * u if dist.kind == UNIFORM else u * np.nan
+
+
+def generate_population(spec: PopulationSpec) -> Population:
+    """Deterministic heterogeneous population from a seeded spec: one NumPy
+    pass, then each row that rejects a draw or draws a lognormal redrawn."""
+    rows = _substream_doubles(spec.seed, spec.size)
+    names = [fam for fam, _ in spec.family_mix]
+    pick = np.minimum(np.searchsorted(list(accumulate(
+        p for _, p in spec.family_mix)), rows[:, 0], side="right"), len(names) - 1)
+    power = np.array([fam == POWER_EFFORT for fam in names])[pick]
+    scale = _uniform(spec.scale_dist, rows[:, 1])
+    k = _uniform(spec.cost_dist, rows[:, 2])
+    beta = np.where(power, _uniform(spec.elasticity_dist, rows[:, 3]), 1.0)
+    pi0 = _uniform(spec.reservation_dist, np.where(power, rows[:, 4], rows[:, 3]))
+    drawn = (scale > 0) & (k > 0) & (beta > 0) & (beta <= 1) & ~np.isnan(pi0)
+    pi0 = np.where(pi0 > 0, pi0, 0.0)  # max(0, x)
+    population = Population(range(spec.size), [names[j] for j in pick.tolist()],
+                            scale, beta, k, pi0)
     redraws = 0
-    for i, row in enumerate(rows):
-        rng = _Substream(row, spec.seed, i)
-        u = rng.uniform()
-        family, acc = spec.family_mix[-1][0], 0.0
-        for fam, p in spec.family_mix:
-            acc += p
-            if u < acc:
-                family = fam
-                break
-        scale, r1 = _draw_positive(spec.scale_dist, rng)
-        k, r2 = _draw_positive(spec.cost_dist, rng)
-        beta = 1.0
-        r3 = 0
-        if family == POWER_EFFORT:
-            beta, r3 = _draw_positive(spec.elasticity_dist, rng, lo=0.0, hi=1.0)
-        pi0 = max(0.0, spec.reservation_dist.sample(rng))
+    for i in np.flatnonzero(~drawn).tolist():
+        rng = _Substream(rows[i].tolist(), spec.seed, i)
+        rng.uniform()  # the family, picked above
+        scale[i], r1 = _draw_positive(spec.scale_dist, rng)
+        k[i], r2 = _draw_positive(spec.cost_dist, rng)
+        beta[i], r3 = (_draw_positive(spec.elasticity_dist, rng, lo=0.0, hi=1.0)
+                       if power[i] else (1.0, 0))
+        pi0[i] = max(0.0, spec.reservation_dist.sample(rng))
         redraws += r1 + r2 + r3
-        profiles.append(DeveloperProfile(
-            id=f"dev-{i:05d}",
-            tech=RevenueTechnology(family=family, scale=scale, beta=beta),
-            cost=EffortCost(family=QUADRATIC, k=k),
-            reservation_profit=pi0,
-        ))
+        population[i]  # building the profile validates the row
     if redraws:
         log.debug("generate_population: %d rejected draws", redraws)
-    return profiles
+    return population
 
 
 SWEEP_COLUMNS = ("alpha", "platform_profit", "n_entrants",
@@ -257,8 +260,8 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
         raise DomainError(f"draws x population size must be <= {MAX_POOL_CELLS}")
     require_finite_nonneg("marginal_cost", marginal_cost)
     res = participate(population, alpha)
-    by_id = {p.id: p for p in population}
-    cells = [(by_id[i], br.gross_revenue, br.usage) for i, br in res.responses.items()]
+    ads = {p.id: p.ad_revenue for p in population}
+    cells = [(ads[i], br.gross_revenue, br.usage) for i, br in res.responses.items()]
     # earnings are the profit with no serving cost; the serving cost is
     # minus the profit at a zero rate with no ad share
     policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .best_response import BestResponse, responder, solve_effort
-from .model import (CommissionPolicy, DeveloperProfile, DomainError,
-                    require_finite_nonneg)
+from .best_response import BestResponse, closed_form, solve_effort
+from .model import (LINEAR_DEMAND, CommissionPolicy, DeveloperProfile,
+                    DomainError, Population, require_finite_nonneg,
+                    require_rate)
 
 # developer x rate (or x draw) cells above which a grid or a pool is refused:
 # about 9 bytes a cell in a pool's hit matrix, so about 90 MB
@@ -37,16 +39,16 @@ class ParticipationResult:
     developer_surplus: float  # sum of entry_profits, in id order
 
 
-def developer_profit(profile: DeveloperProfile, net: float,
+def developer_profit(ad_revenue: float, net: float,
                      policy: CommissionPolicy | None = None) -> float:
     """A developer's net profit, a float or a row, plus their ad-revenue share."""
-    if profile.ad_revenue > 0:
+    if ad_revenue > 0:
         ad_share = policy.ad_share if policy is not None and policy.ad_share else 0.0
-        net = net + (1.0 - ad_share) * profile.ad_revenue
+        net = net + (1.0 - ad_share) * ad_revenue
     return net
 
 
-def entrant_profit(profile: DeveloperProfile, gross: float, usage: float,
+def entrant_profit(ad_revenue: float, gross: float, usage: float,
                    policy: CommissionPolicy, marginal_cost: float,
                    alpha: Optional[float] = None) -> float:
     """The platform's profit from one entrant, defined only here: the
@@ -58,21 +60,26 @@ def entrant_profit(profile: DeveloperProfile, gross: float, usage: float,
     charged = usage >= policy.activity_threshold  # below it: cost absorbed
     commission = (policy.commission(gross) if alpha is None
                   else alpha * gross) * charged  # times False is +0.0
-    return (commission + (policy.ad_share or 0.0) * profile.ad_revenue
+    return (commission + (policy.ad_share or 0.0) * ad_revenue
             - marginal_cost * usage)
 
 
 def _checked(population: Sequence[DeveloperProfile], alpha: float,
              policy: CommissionPolicy | None):
     """``participate``'s checks: the flat policy it charges at rate alpha, and
-    the profiles in developer-id order, where a duplicate id is an error."""
+    the profiles in developer-id order, where a duplicate id is an error; a
+    Population whose ids ascend is already in that order."""
+    if policy is not None and not policy.is_flat:
+        raise DomainError("entry is evaluated at flat rates, not a degressive policy")
+    if alpha is None:
+        raise DomainError("alpha, the flat rate charged, must be given")
     if policy is None:
         policy = CommissionPolicy.flat(alpha)
-    elif not policy.is_flat:
-        raise DomainError("entry is evaluated at flat rates, not a degressive policy")
     elif policy.rate != alpha:
         policy = CommissionPolicy.flat(alpha, policy.ad_share,
                                        policy.activity_threshold)
+    if isinstance(population, Population) and population.columns[0].step > 0:
+        return policy, population
     ordered = sorted(population, key=attrgetter("id"))
     for p, q in zip(ordered, ordered[1:]):
         if p.id == q.id:
@@ -97,12 +104,12 @@ def participate(population: Sequence[DeveloperProfile], alpha: float,
     platform = surplus = 0.0
     for profile in ordered:
         br = solve_effort(profile, policy.rate)
-        pi = developer_profit(profile, br.net_profit, policy)
+        pi = developer_profit(profile.ad_revenue, br.net_profit, policy)
         if pi >= profile.reservation_profit:
             profits[profile.id] = pi
             responses[profile.id] = br
-            platform += entrant_profit(profile, br.gross_revenue, br.usage,
-                                       policy, marginal_cost)
+            platform += entrant_profit(profile.ad_revenue, br.gross_revenue,
+                                       br.usage, policy, marginal_cost)
             surplus += pi
     return ParticipationResult(entrants=tuple(profits), count=len(profits),
                                entry_profits=profits, responses=responses,
@@ -141,6 +148,18 @@ class SweepResult:
     argmax_alpha: float  # first maximum of platform profit; NaN on no rates
 
 
+def _rows(ordered: Sequence[DeveloperProfile]):
+    """Each developer's (family, A, beta, kappa, k, m, reservation profit,
+    ad revenue), read once, in the given order."""
+    if isinstance(ordered, Population):
+        _, families, scale, beta, k, reservation = ordered.columns
+        return zip(families, scale.tolist(), beta.tolist(), repeat(None),
+                   k.tolist(), repeat(2.0), reservation.tolist(), repeat(0.0))
+    return [(p.tech.family, p.tech.scale, p.tech.beta, p.tech.usage_per_revenue,
+             p.cost.k, p.cost.exponent, p.reservation_profit, p.ad_revenue)
+            for p in ordered]
+
+
 def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
           marginal_cost: float,
           policy: CommissionPolicy | None = None) -> SweepResult:
@@ -148,7 +167,7 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     alpha grid, bit for bit as one ``participate`` pass per rate. A flat
     ``policy`` supplies the ad share and activity threshold charged at every
     rate. Ties break toward the smallest alpha: the argmax is the first maximum.
-    Each developer is one row over the grid (``responder`` with ``row_pow``,
+    Each developer is one row over the grid (``closed_form`` with ``row_pow``,
     numpy alone for linear revenue and quadratic cost; ``solve_effort`` per
     rate for linear_demand) whose entrant cells are added to the per-rate
     totals in developer-id order, as ``participate`` adds them."""
@@ -161,19 +180,18 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     if n:  # participate's checks in its order: a rate, duplicate ids, the rest
         policy, ordered = _checked(population, alpha_grid[0], policy)
         for a in alpha_grid[1:]:
-            _checked((), a, policy)
+            require_rate(a)
     alphas = np.array(alpha_grid, dtype=float)
-    for profile in ordered:
-        respond = responder(profile)
-        if respond is None:
-            cells = [solve_effort(profile, a) for a in alpha_grid]
+    for i, (family, scale, beta, kappa, k, m, pi0, ad) in enumerate(_rows(ordered)):
+        if family == LINEAR_DEMAND:
+            cells = [solve_effort(ordered[i], a) for a in alpha_grid]
             gross, q, net = (np.array([getattr(br, f) for br in cells]) for f in
                              ("gross_revenue", "usage", "net_profit"))
         else:
-            _, gross, q, net = respond(alphas, row_pow)
-        pi = developer_profit(profile, net, policy)
-        enter = pi >= profile.reservation_profit
-        platform = entrant_profit(profile, gross, q, policy, marginal_cost, alphas)
+            _, gross, q, net = closed_form(alphas, scale, beta, kappa, k, m, row_pow)
+        pi = developer_profit(ad, net, policy)
+        enter = pi >= pi0
+        platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)
         np.add(profits, platform, out=profits, where=enter)
         np.add(surplus, pi, out=surplus, where=enter)
         counts += enter

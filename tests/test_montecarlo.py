@@ -11,6 +11,8 @@ from revshare.model import (
     DeveloperProfile,
     DomainError,
     EffortCost,
+    PlatformParams,
+    Population,
     RevenueTechnology,
 )
 from revshare.montecarlo import (
@@ -22,6 +24,7 @@ from revshare.montecarlo import (
     risk_pooling_report,
     sweep_to_csv,
 )
+from revshare.optimizer import optimize_alpha
 from revshare.participation import sweep
 
 from conftest import canonical_profile  # noqa: F401
@@ -181,6 +184,71 @@ class TestSubstreams:
         assert pop == exact(reference_population(spec))
         m = min(prefix, size)
         assert pop[:m] == exact(generate_population(dataclasses.replace(spec, size=m)))
+
+
+class TestPopulationColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**70)),
+           size=st.integers(0, 40),
+           power=st.sampled_from([0.0, 0.3, 1.0]),
+           scale=st.sampled_from([Distribution("uniform", 0.5, 1.5),
+                                  Distribution("uniform", -1.0, 1.0),
+                                  Distribution("lognormal", 0.0, 0.5)]),
+           elasticity=st.sampled_from([Distribution("uniform", 0.3, 0.9),
+                                       Distribution("uniform", -0.5, 1.5),
+                                       Distribution("lognormal", -0.5, 0.6)]),
+           reservation=st.sampled_from([Distribution("uniform", 0.0, 0.1),
+                                        Distribution("uniform", -0.1, 0.1),
+                                        Distribution("lognormal", -3.0, 1.0)]))
+    def test_columns_and_indexed_profiles_are_the_reference(
+            self, seed, size, power, scale, elasticity, reservation):
+        spec = PopulationSpec(size=size, seed=seed, scale_dist=scale,
+                              elasticity_dist=elasticity,
+                              reservation_dist=reservation,
+                              family_mix=(("linear", 1.0 - power), ("power", power)))
+        pop = generate_population(spec)
+        want = reference_population(spec)
+        assert isinstance(pop, Population) and len(pop) == size
+        keys, families, *floats = pop.columns
+        assert list(keys) == list(range(size))
+        assert families == [p.tech.family for p in want]
+        assert all(c.dtype == np.float64 for c in floats)
+        got = [c.tolist() for c in floats]
+        assert list(map(repr, got)) == list(map(repr, (
+            [p.tech.scale for p in want], [p.tech.beta for p in want],
+            [p.cost.k for p in want], [p.reservation_profit for p in want])))
+        assert exact(pop[i] for i in range(size)) == exact(want)
+        assert exact(pop[-i - 1] for i in range(size)) == exact(want[::-1])
+
+    def test_reads_as_a_list_of_profiles(self):
+        assert generate_population(PopulationSpec(size=0, seed=3)) == []
+        pop = generate_population(PopulationSpec(size=30, seed=3))
+        profiles = reference_population(PopulationSpec(size=30, seed=3))
+        assert pop == profiles and profiles == pop and pop == list(pop)
+        assert pop != profiles[:-1] and pop != tuple(profiles)
+        for index in (slice(4, 9), slice(None, None, 3), slice(20, 2, -2),
+                      slice(50, 60)):
+            part = pop[index]
+            assert isinstance(part, Population)
+            assert part == profiles[index] and len(part) == len(profiles[index])
+        assert list(reversed(pop)) == profiles[::-1]
+        assert pop[7] in pop and pop.index(pop[7]) == 7
+        with pytest.raises(IndexError):
+            pop[30]
+
+    def test_sweep_of_a_descending_slice_is_in_id_order(self):
+        # developer-id order, not the slice's order, fixes the summation order
+        pop = generate_population(PopulationSpec(size=40, seed=8))
+        grid = [i / 50 for i in range(51)]
+        want = sweep(list(pop[::-3])[::-1], grid, 0.1)
+        assert repr(sweep(pop[::-3], grid, 0.1)) == repr(want)
+
+    def test_platform_params_keeps_the_columns(self):
+        pop = generate_population(PopulationSpec(size=20, seed=4))
+        assert PlatformParams(0.1, pop).population is pop
+        assert PlatformParams(0.1, list(pop)).population == tuple(pop)
+        assert optimize_alpha(PlatformParams(0.1, pop)) == \
+            optimize_alpha(PlatformParams(0.1, list(pop)))
 
 
 class TestSweep:

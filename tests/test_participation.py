@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from revshare.model import (CommissionPolicy, DeveloperProfile, DomainError,
                             EffortCost, PlatformParams, RevenueTechnology,
                             require_finite_nonneg)
+from revshare.montecarlo import PopulationSpec, generate_population
 from revshare.optimizer import platform_profit
 from revshare.participation import (MAX_POOL_CELLS, SweepResult, participate,
                                     rate_grid, sweep)
@@ -272,3 +273,53 @@ class TestSweepMatchesScalarReference:
         fast = outcome(sweep)
         assert fast.startswith("DomainError: ")
         assert fast == outcome(reference_sweep)
+
+
+class TestSweepOverPopulation:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**40), size=st.integers(0, 30),
+           power=st.sampled_from([0.0, 0.5, 1.0]), grid=grids,
+           cost=st.floats(0.0, 1.0), policy=flat_policies)
+    def test_columns_list_and_reference_bit_for_bit(self, seed, size, power,
+                                                    grid, cost, policy):
+        pop = generate_population(PopulationSpec(
+            size=size, seed=seed,
+            family_mix=(("linear", 1.0 - power), ("power", power))))
+        fast = repr(sweep(pop, grid, cost, policy))
+        assert fast == repr(sweep(list(pop), grid, cost, policy))
+        assert fast == repr(reference_sweep(pop, grid, cost, policy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**40), others=populations(max_size=4),
+           grid=grids, cost=st.floats(0.0, 1.0), policy=flat_policies)
+    def test_mixed_list_bit_for_bit(self, seed, others, grid, cost, policy):
+        # generated developers among linear_demand, power_convex, kappa and
+        # ad revenue, in no particular order
+        generated = list(generate_population(PopulationSpec(size=6, seed=seed)))
+        mixed = others[:2] + generated[::-1] + others[2:]
+        fast = sweep(mixed, grid, cost, policy)
+        assert repr(fast) == repr(reference_sweep(mixed, grid, cost, policy))
+
+    def test_the_rates_are_checked_without_a_policy_each(self, monkeypatch):
+        built = []
+        flat = CommissionPolicy.flat
+
+        def counted(*args):
+            built.append(args)
+            return flat(*args)
+
+        monkeypatch.setattr(CommissionPolicy, "flat", staticmethod(counted))
+        pop = generate_population(PopulationSpec(size=5, seed=1))
+        sweep(pop, rate_grid(0.0, 1.0, 1e-3), 0.1)
+        assert len(built) == 1
+        with pytest.raises(DomainError, match=re.escape("rate out of [0,1]")):
+            sweep(pop, [0.0, 0.5, math.nan], 0.1)
+
+
+class TestMissingRate:
+    @pytest.mark.parametrize("policy", [None, CommissionPolicy.flat(0.2),
+                                        CommissionPolicy.flat(0.2, 0.5, 0.1)])
+    def test_participate_without_alpha_names_alpha(self, canonical_profile,
+                                                   policy):
+        with pytest.raises(DomainError, match="alpha"):
+            participate([canonical_profile], None, policy)
