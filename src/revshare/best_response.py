@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .model import (
     CommissionPolicy,
@@ -114,16 +114,6 @@ def closed_form(alpha, scale: float, beta: float, kappa: Optional[float],
     return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
 
 
-def responder(profile: DeveloperProfile) -> Optional[Callable[..., tuple]]:
-    """``closed_form`` for one developer, a map from alpha (and ``pw``);
-    None for linear_demand, which has no closed form."""
-    tech, cost = profile.tech, profile.cost
-    if tech.family == LINEAR_DEMAND:
-        return None
-    params = (tech.scale, tech.beta, tech.usage_per_revenue, cost.k, cost.exponent)
-    return lambda alpha, pw=pow: closed_form(alpha, *params, pw)
-
-
 def _reduced_profit(profile: DeveloperProfile, retained: float):
     tech, cost = profile.tech, profile.cost
     return lambda e: retained * reduced(tech, e)[1] - effort_cost(cost, e)
@@ -140,17 +130,19 @@ def _package(profile: DeveloperProfile, alpha: float, e: float,
 
 def solve_effort(profile: DeveloperProfile, alpha: float,
                  force_numeric: bool = False) -> BestResponse:
-    """Best response to a flat commission rate alpha: ``responder``'s closed
-    form where the family pair has one, else a golden-section search."""
+    """Best response to a flat commission rate alpha: ``closed_form`` where
+    the family pair has one (not linear_demand), else a golden-section search."""
     if not (0 <= alpha <= 1):
         raise DomainError("alpha out of [0,1]")
     retained = 1.0 - alpha
     if retained == 0:
         return _package(profile, alpha, 0.0, ANALYTIC)
 
-    respond = None if force_numeric else responder(profile)
-    if respond is not None:
-        return _package(profile, alpha, respond(alpha)[0], ANALYTIC)
+    tech, cost = profile.tech, profile.cost
+    if not force_numeric and tech.family != LINEAR_DEMAND:
+        e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
+                        cost.k, cost.exponent)[0]
+        return _package(profile, alpha, e, ANALYTIC)
 
     # past this effort the profit falls even when they keep everything
     hi = expand_upper_bound(_reduced_profit(profile, 1.0))

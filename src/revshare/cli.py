@@ -45,7 +45,7 @@ from .participation import MAX_POOL_CELLS, rate_grid, sweep
 from .settlement import (
     KIND_SALE,
     KIND_SUBSCRIPTION,
-    Transaction,
+    Ledger,
     format_cents,
     read_ledger,
     settle,
@@ -135,8 +135,11 @@ EXPERIMENT_KEYS = ("command", "output", "format")
 
 
 def _coerce(kind: str, raw: str):
-    if kind == "bool":
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
+    if kind == "bool":  # 1/yes/true/on or 0/no/false/off, any case
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(str(raw).strip().lower())
+        if value is None:
+            raise ValueError(raw)
+        return value
     return TYPES[kind](raw)
 
 
@@ -386,23 +389,13 @@ def _run_compare(cfg: ExperimentConfig):
     }
 
 
-def _scenario_ledger(number: int):
-    if number == 1:  # 1000 monthly $20 subscriptions
-        txs = [Transaction("legal-advisor", "2025-01", KIND_SUBSCRIPTION, 2000)
-               for _ in range(1000)]
-        return txs, [True] * len(txs)
-    if number == 2:  # 10,000 images at $0.50
-        txs = [Transaction("image-studio", "2025-01", KIND_SALE, 50)
-               for _ in range(10000)]
-        return txs, [True] * len(txs)
-    # freemium: 100 premium $10 subscriptions plus 900 free-tier users
-    txs = [Transaction("freemium-app", "2025-01", KIND_SUBSCRIPTION, 1000)
-           for _ in range(100)]
-    flags = [True] * len(txs)
-    txs += [Transaction("freemium-app", "2025-01", KIND_SALE, 0)
-            for _ in range(900)]
-    flags += [False] * 900
-    return txs, flags
+# the worked scenarios' ledgers, as (app, kind, cents, premium count, free count)
+SCENARIOS = {
+    1: [("legal-advisor", KIND_SUBSCRIPTION, 2000, 1000, 0)],  # $20 a month
+    2: [("image-studio", KIND_SALE, 50, 10000, 0)],  # images at $0.50
+    3: [("freemium-app", KIND_SUBSCRIPTION, 1000, 100, 0),  # $10 premium tier
+        ("freemium-app", KIND_SALE, 0, 0, 900)],  # free-tier users
+}
 
 
 def _statement_outcome(stmt):
@@ -413,11 +406,13 @@ def _statement_outcome(stmt):
 
 
 def _run_scenario(cfg: ExperimentConfig):
-    number = cfg.resolved("number")
+    columns, flags = ([], [], [], []), []
+    for app, kind, cents, premium, free in SCENARIOS[cfg.resolved("number")]:
+        for column, value in zip(columns, (app, "2025-01", kind, cents)):
+            column += [value] * (premium + free)
+        flags += [True] * premium + [False] * free
     policy = CommissionPolicy.flat(cfg.resolved("rate"))
-    txs, flags = _scenario_ledger(number)
-    return _statement_outcome(settle_freemium(txs, policy, flags)
-                              if number == 3 else settle(txs, policy))
+    return _statement_outcome(settle_freemium(Ledger(*columns), policy, flags))
 
 
 def _run_settle(cfg: ExperimentConfig):

@@ -4,8 +4,8 @@ Every draw comes from a per-developer substream spawned off the master
 seed, so parallel scheduling or population reordering can never change the
 numbers: developer i draws ``default_rng(SeedSequence(seed).spawn(size)[i])``.
 A population is columns (``model.Population`` builds a profile when indexed)
-from one NumPy pass over each developer's first doubles; a lognormal draw,
-or rejections that use them up, go on in that substream's own generator.
+from one NumPy pass over each developer's first doubles; a row that rejects a
+draw or draws a lognormal is drawn again by its substream's own NumPy generator.
 ``participation.sweep`` and ``SweepResult`` (sums in id order) are re-exported.
 """
 
@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class Distribution:
             raise DomainError("lognormal sigma must be >= 0")
 
     def sample(self, rng) -> float:
-        """One draw from a NumPy ``Generator`` or a developer's ``_Substream``."""
+        """One draw from a NumPy ``Generator``."""
         if self.kind == UNIFORM:
             return float(rng.uniform(self.a, self.b))
         return float(rng.lognormal(self.a, self.b))
@@ -136,40 +136,12 @@ def _substream_doubles(seed: int, size: int) -> np.ndarray:
     return out * 2.0 ** -53
 
 
-class _Substream:
-    """Developer ``key``'s draws: its precomputed doubles, then its own
-    generator advanced past the doubles already used."""
-
-    __slots__ = ("_row", "_used", "_seed", "_key", "_rng")
-
-    def __init__(self, row: List[float], seed: int, key: int):
-        self._row, self._used, self._rng = row, 0, None
-        self._seed, self._key = seed, key
-
-    def _generator(self) -> np.random.Generator:
-        if self._rng is None:
-            child = np.random.SeedSequence(self._seed, spawn_key=(self._key,))
-            self._rng = np.random.Generator(np.random.PCG64(child).advance(self._used))
-        return self._rng
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        if self._rng is not None or self._used == _ROW:
-            return self._generator().uniform(low, high)
-        if not math.isfinite(high - low):
-            raise OverflowError("high - low range exceeds valid bounds")
-        self._used += 1
-        return low + (high - low) * self._row[self._used - 1]  # NumPy's formula
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        return self._generator().lognormal(mean, sigma)
-
-
 def _draw_positive(dist: Distribution, rng, lo=0.0, hi=math.inf,
                    max_tries=1000) -> Tuple[float, int]:
     """Rejection sampling into (lo, hi]; returns the value and redraw count."""
     for tries in range(max_tries):
         x = dist.sample(rng)
-        if lo < x <= hi or (hi == math.inf and x > lo):
+        if lo < x <= hi:
             return x, tries
     raise DomainError(f"distribution {dist} cannot produce a draw in "
                       f"({lo}, {hi}] after {max_tries} tries")
@@ -198,7 +170,7 @@ def generate_population(spec: PopulationSpec) -> Population:
                             scale, beta, k, pi0)
     redraws = 0
     for i in np.flatnonzero(~drawn).tolist():
-        rng = _Substream(rows[i].tolist(), spec.seed, i)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
         rng.uniform()  # the family, picked above
         scale[i], r1 = _draw_positive(spec.scale_dist, rng)
         k[i], r2 = _draw_positive(spec.cost_dist, rng)
@@ -259,11 +231,11 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     if draws * len(population) > MAX_POOL_CELLS:
         raise DomainError(f"draws x population size must be <= {MAX_POOL_CELLS}")
     require_finite_nonneg("marginal_cost", marginal_cost)
-    res = participate(population, alpha)
-    ads = {p.id: p.ad_revenue for p in population}
-    cells = [(ads[i], br.gross_revenue, br.usage) for i, br in res.responses.items()]
     # earnings are the profit with no serving cost; the serving cost is
-    # minus the profit at a zero rate with no ad share
+    # minus the profit at a zero rate. Neither flat policy has an ad share,
+    # so each entrant's ad revenue would count times 0.0: it is passed as 0.0
+    cells = [(0.0, br.gross_revenue, br.usage)
+             for br in participate(population, alpha).responses.values()]
     policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)
     earnings = np.array([entrant_profit(*cell, policy, 0.0) for cell in cells])
     rng = np.random.default_rng(np.random.SeedSequence(seed))

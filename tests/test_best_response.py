@@ -6,9 +6,9 @@ import pytest
 
 from revshare.best_response import (
     NonConvergenceError,
+    closed_form,
     foc_residual,
     reduced,
-    responder,
     solve_effort,
     solve_effort_policy,
     solve_price,
@@ -147,7 +147,7 @@ class TestSolveEffort:
 
 class TestResponder:
     def test_revenue_and_cost_match_the_model_bit_for_bit(self):
-        # the responder restates reduced() and effort_cost() for speed;
+        # closed_form restates reduced() and effort_cost() for speed;
         # both must give the same floats at the effort it chooses
         profiles = random_profiles(30, seed=5)
         profiles += [dataclasses.replace(p, tech=dataclasses.replace(
@@ -156,9 +156,11 @@ class TestResponder:
             id="b1", tech=RevenueTechnology(family="power", beta=1.0,
                                             scale=1.3), cost=EffortCost(k=0.9)))
         for profile in profiles:
-            respond = responder(profile)
+            tech, cost = profile.tech, profile.cost
             for alpha in (0.0, 0.1, 0.37, 0.5, 0.999, 1.0):
-                e, gross, q, net = respond(alpha)
+                e, gross, q, net = closed_form(
+                    alpha, tech.scale, tech.beta, tech.usage_per_revenue,
+                    cost.k, cost.exponent)
                 _, want_gross, want_q = reduced(profile.tech, e)
                 want_net = (1.0 - alpha) * want_gross - effort_cost(
                     profile.cost, e)
@@ -179,12 +181,11 @@ class TestResponder:
     def test_row_matches_scalar_bit_for_bit(self, family, beta, cost):
         alphas = [i / 1000 for i in range(1001)]
         for kappa in (None, 0.7):
-            respond = responder(DeveloperProfile(
-                id="d", tech=RevenueTechnology(family, scale=1.9, beta=beta,
-                                               usage_per_revenue=kappa),
-                cost=cost))
-            rows = respond(np.array(alphas), row_pow)
-            cells = list(zip(*map(respond, alphas)))
+            tech = RevenueTechnology(family, scale=1.9, beta=beta,
+                                     usage_per_revenue=kappa)
+            params = (tech.scale, tech.beta, kappa, cost.k, cost.exponent)
+            rows = closed_form(np.array(alphas), *params, row_pow)
+            cells = list(zip(*(closed_form(a, *params) for a in alphas)))
             for row, column in zip(rows, cells):
                 assert list(map(float.hex, row.tolist())) == \
                     list(map(float.hex, column))
@@ -195,7 +196,7 @@ class TestResponder:
                 family="linear_demand", demand_base=1.0, demand_quality=0.5,
                 demand_slope=1.0, usage_per_revenue=1.0),
             cost=EffortCost(k=1.0))
-        assert responder(profile) is None
+        assert solve_effort(profile, 0.3).method == "numeric"
 
 
 def power_law_twin(profile):

@@ -146,6 +146,20 @@ class TestScenarioCommand:
         assert status == 0
         assert f"payout={payout}" in out
 
+    @pytest.mark.parametrize("number,app,per_kind,free", [
+        (2, "image-studio", {"sale": 500000}, 0),
+        (3, "freemium-app", {"sale": 0, "subscription": 100000}, 900)])
+    def test_scenario_statement(self, capsys, tmp_path, number, app, per_kind,
+                                free):
+        # scenario 1's statement is the shipped-config golden
+        out = tmp_path / "s.json"
+        assert run_cli(capsys, "scenario", "--number", str(number),
+                       "--out", str(out))[0] == 0
+        stmt = json.loads(out.read_text())
+        assert (stmt["app_id"], stmt["period"]) == (app, "2025-01")
+        assert (stmt["per_kind_cents"], stmt["free_count"]) == (per_kind, free)
+        assert stmt["commission_cents"] * 4 == stmt["gross_cents"]
+
     def test_bad_number(self, capsys):
         status, _, err = run_cli(capsys, "scenario", "--number", "4")
         assert status == 2
@@ -697,6 +711,26 @@ class TestConfigHandling:
             status, _, err = run_cli(capsys, *argv)
             assert status == 2
             assert "cost = 'abc' is not a valid float" in err
+
+    def test_misspelt_bool_usage_error(self, capsys, tmp_path):
+        # 'ture' used to read as False: settled without the free tier,
+        # $5.00 commission where freemium = true charges $2.50
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("app_id,period,kind,amount_cents,premium\n"
+                          "a,p,sale,1000,1\na,p,sale,1000,0\n")
+        path = tmp_path / "settle.ini"
+        for value, commission in (("true", "$2.50"), ("Off", "$5.00"),
+                                  ("0", "$5.00"), ("ture", None), ("", None)):
+            path.write_text("[experiment]\ncommand = settle\n[params]\n"
+                            f"ledger = {ledger}\nfreemium = {value}\n")
+            for argv in (["validate", str(path)], ["settle", "--config", str(path)]):
+                status, out, err = run_cli(capsys, *argv)
+                if commission is None:
+                    assert status == 2
+                    assert f"freemium = {value!r} is not a valid bool" in err
+                else:
+                    assert status == 0
+                    assert argv[0] == "validate" or f"commission={commission}" in out
 
     def test_unknown_experiment_key_usage_error(self, capsys, tmp_path):
         path = tmp_path / "typo.ini"

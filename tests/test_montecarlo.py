@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from revshare import montecarlo, participation
 from revshare.model import (
+    CommissionPolicy,
     DeveloperProfile,
     DomainError,
     EffortCost,
@@ -155,12 +156,6 @@ class TestSubstreams:
         assert got.shape == (40, montecarlo._ROW)
         np.testing.assert_array_equal(got, np.array(expected))
 
-    def test_non_finite_range_overflows_like_numpy(self):
-        with pytest.raises(OverflowError):
-            np.random.default_rng(0).uniform(-1e308, 1e308)
-        with pytest.raises(OverflowError):
-            montecarlo._Substream([0.5] * 5, 0, 0).uniform(-1e308, 1e308)
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**70)),
            size=st.integers(0, 40), prefix=st.integers(0, 40),
@@ -170,8 +165,8 @@ class TestSubstreams:
                                   Distribution("uniform", -1.0, 1.0)]),
            elasticity=st.sampled_from([Distribution("uniform", 0.3, 0.9),
                                        Distribution("lognormal", -0.5, 0.6)]))
-    # uniform(-1, 1) rejects about half its draws, so rows run out and the
-    # generator fallback runs
+    # uniform(-1, 1) rejects about half its draws, so many rows are drawn
+    # again from their substream's own generator
     @example(seed=FMAX, size=40, prefix=17, power=1.0,
              scale=Distribution("uniform", -1.0, 1.0),
              elasticity=Distribution("uniform", 0.3, 0.9))
@@ -374,6 +369,40 @@ class TestRiskPooling:
                       draws=1000, seed=3)
         a = risk_pooling_report([canonical_profile], **kwargs)
         assert a == risk_pooling_report([canonical_profile], **kwargs)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6])
+    def test_ad_revenue_matches_per_entrant_reference(self, alpha):
+        # the reference takes each entrant's own ad revenue, which the
+        # pool's flat policies, with no ad share, charge at 0.0
+        pop = [dataclasses.replace(p, ad_revenue=0.5 * (i + 1) if i else 1e308)
+               for i, p in enumerate(generate_population(
+                   PopulationSpec(size=30, seed=5)))]
+        kwargs = dict(marginal_cost=0.1, success_prob=0.4, draws=200, seed=6)
+        got = risk_pooling_report(pop, alpha, **kwargs)
+        assert repr(got) == repr(reference_pool(pop, alpha, **kwargs))
+
+
+def reference_pool(pop, alpha, marginal_cost, success_prob, draws, seed):
+    """``risk_pooling_report`` with every entrant's ``entrant_profit`` taken
+    at its own ad revenue."""
+    res = participation.participate(pop, alpha)
+    ads = {p.id: p.ad_revenue for p in pop}
+    cells = [(ads[i], br.gross_revenue, br.usage) for i, br in res.responses.items()]
+    policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)
+    earnings = np.array([participation.entrant_profit(*cell, policy, 0.0)
+                         for cell in cells])
+    total_cost = -float(np.array([participation.entrant_profit(
+        *cell, free, marginal_cost) for cell in cells]).sum())
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    samples = (rng.random((draws, len(earnings))) < success_prob) @ earnings \
+        - total_cost
+    mean, std = float(samples.mean()), float(samples.std(ddof=0))
+    return montecarlo.RiskPoolingReport(
+        mean_profit=mean, std_profit=std,
+        p5_profit=float(np.percentile(samples, 5)),
+        coefficient_of_variation=std / abs(mean) if mean != 0 else None,
+        deterministic_profit=float(earnings.sum()) - total_cost,
+        draws=draws, population_size=len(pop))
 
 
 def sum_usage(pop, alpha):
