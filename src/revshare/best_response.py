@@ -123,6 +123,9 @@ def _package(profile: DeveloperProfile, alpha: float, e: float,
              method: str) -> BestResponse:
     price, gross, q = reduced(profile.tech, e)
     profit = (1.0 - alpha) * gross - effort_cost(profile.cost, e)
+    if not math.isfinite(profit):
+        raise DomainError(f"developer {profile.id!r} at alpha {alpha}: "
+                          "the best response overflows a float")
     residual = foc_residual(profile, alpha, e) if e > 0 else 0.0
     return BestResponse(effort=e, price=price, gross_revenue=gross, usage=q,
                         net_profit=profit, foc_residual=residual, method=method)

@@ -1,9 +1,9 @@
 """Core market primitives: revenue technologies, effort costs, commission
 policies and the platform/developer parameter records.
 
-Everything here is plain validated data plus pointwise evaluation; no
-optimization logic lives in this module. All types are frozen dataclasses
-and safe to share across workers.
+Everything here is validated data and pointwise evaluation, no optimization.
+``Columns`` is the one lazy table type (``Population``, ``settlement.Ledger``);
+every other type is a frozen dataclass, safe to share across workers.
 """
 
 from __future__ import annotations
@@ -122,40 +122,51 @@ class DeveloperProfile:
     ad_revenue: float = 0.0  # exogenous per-period ad revenue, shared via ad_share
 
     def __post_init__(self):
-        if not math.isfinite(self.reservation_profit) or self.reservation_profit < 0:
-            raise DomainError("reservation_profit must be finite and >= 0")
+        require_finite_nonneg("reservation_profit", self.reservation_profit)
         require_finite_nonneg("ad_revenue", self.ad_revenue)
 
 
-class Population(Sequence[DeveloperProfile]):
-    """Generated developers as columns, validated as they were drawn: id
-    numbers (a range; number i is ``f"dev-{i:05d}"``), revenue families, and
-    float64 arrays of A, beta, k and reservation profit; costs quadratic, no
-    usage link, no ad revenue. A profile is built only when it is indexed."""
+class Columns(Sequence):
+    """A table kept as equal-length columns; the class attribute ``row``
+    builds a row from one cell of each column, only when that row is read.
+    A slice is a table of the same type."""
 
     __slots__ = ("columns",)
 
-    def __init__(self, keys: range, families: list, scale, beta, k, reservation):
-        self.columns = (keys, families, scale, beta, k, reservation)
+    def __init__(self, *columns):
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, index):
-        key, family, scale, beta, k, reservation = (c[index] for c in self.columns)
-        if isinstance(index, slice):
-            return Population(key, family, scale, beta, k, reservation)
+        cells = (column[index] for column in self.columns)
+        return type(self)(*cells) if isinstance(index, slice) else self.row(*cells)
+
+    def __iter__(self):
+        return map(self.row, *self.columns)
+
+    def __eq__(self, other):
+        """Equal to a table of the same type or a list of the same rows in order."""
+        if isinstance(other, (type(self), list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class Population(Columns):
+    """Generated developers, validated as drawn: id numbers (a range; number
+    i is ``f"dev-{i:05d}"``), revenue families, and float64 arrays of A, beta,
+    k and reservation profit; costs quadratic, no usage link, no ad revenue."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def row(key, family, scale, beta, k, reservation) -> DeveloperProfile:
         return DeveloperProfile(
             id=f"dev-{key:05d}",
             tech=RevenueTechnology(family, scale=float(scale), beta=float(beta)),
             cost=EffortCost(QUADRATIC, k=float(k)),
             reservation_profit=float(reservation))
-
-    def __eq__(self, other):
-        """Equal to a Population or a list of the same profiles in order."""
-        if isinstance(other, (Population, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,10 @@ class ParticipationResult:
 
 
 def developer_profit(ad_revenue: float, net: float,
-                     policy: CommissionPolicy | None = None) -> float:
+                     policy: CommissionPolicy) -> float:
     """A developer's net profit, a float or a row, plus their ad-revenue share."""
     if ad_revenue > 0:
-        ad_share = policy.ad_share if policy is not None and policy.ad_share else 0.0
-        net = net + (1.0 - ad_share) * ad_revenue
+        net = net + (1.0 - (policy.ad_share or 0.0)) * ad_revenue
     return net
 
 
@@ -64,20 +63,20 @@ def entrant_profit(ad_revenue: float, gross: float, usage: float,
             - marginal_cost * usage)
 
 
+_UNSHARED = CommissionPolicy.flat(0.0)  # no ad share or threshold; rate unread
+
+
 def _checked(population: Sequence[DeveloperProfile], alpha: float,
              policy: CommissionPolicy | None):
-    """``participate``'s checks: the flat policy it charges at rate alpha, and
-    the profiles in developer-id order, where a duplicate id is an error; a
-    Population whose ids ascend is already in that order."""
+    """``participate``'s checks: the flat policy whose ad share and activity
+    threshold go with rate alpha, and the profiles in developer-id order (a
+    duplicate id is an error; a Population whose ids ascend is in order)."""
     if policy is not None and not policy.is_flat:
         raise DomainError("entry is evaluated at flat rates, not a degressive policy")
     if alpha is None:
         raise DomainError("alpha, the flat rate charged, must be given")
-    if policy is None:
-        policy = CommissionPolicy.flat(alpha)
-    elif policy.rate != alpha:
-        policy = CommissionPolicy.flat(alpha, policy.ad_share,
-                                       policy.activity_threshold)
+    require_rate(alpha)
+    policy = _UNSHARED if policy is None else policy
     if isinstance(population, Population) and population.columns[0].step > 0:
         return policy, population
     ordered = sorted(population, key=attrgetter("id"))
@@ -103,13 +102,13 @@ def participate(population: Sequence[DeveloperProfile], alpha: float,
     responses: Dict[str, BestResponse] = {}
     platform = surplus = 0.0
     for profile in ordered:
-        br = solve_effort(profile, policy.rate)
+        br = solve_effort(profile, alpha)
         pi = developer_profit(profile.ad_revenue, br.net_profit, policy)
         if pi >= profile.reservation_profit:
             profits[profile.id] = pi
             responses[profile.id] = br
             platform += entrant_profit(profile.ad_revenue, br.gross_revenue,
-                                       br.usage, policy, marginal_cost)
+                                       br.usage, policy, marginal_cost, alpha)
             surplus += pi
     return ParticipationResult(entrants=tuple(profits), count=len(profits),
                                entry_profits=profits, responses=responses,

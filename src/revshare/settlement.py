@@ -3,7 +3,9 @@
 All arithmetic is on integer cents with Decimal for the single rounding
 point: commission is rounded half-up on the period aggregate (never per
 transaction), and the remainder goes to the developer, so
-commission + payout == gross holds exactly for every statement.
+commission + payout == gross holds exactly for every statement. A ``Ledger``
+is a ``model.Columns`` table of transactions, and ``settle`` is
+``settle_freemium`` with every row premium.
 
 A policy's ``activity_threshold`` counts the period's premium transactions
 here: with fewer of them the whole commission is waived, and a count equal
@@ -19,7 +21,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from itertools import repeat, takewhile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .model import CommissionPolicy, DomainError
+from .model import Columns, CommissionPolicy, DomainError
 
 KIND_SALE = "sale"
 KIND_SUBSCRIPTION = "subscription"
@@ -48,34 +50,11 @@ def _check_transaction(kind: str, amount_cents: int) -> None:
         raise DomainError("amount_cents must be >= 0")
 
 
-class Ledger(Sequence[Transaction]):
-    """Transactions held as four columns (app ids, periods, kinds, integer
-    cents); a row's Transaction is built only when that row is read."""
+class Ledger(Columns):
+    """Transactions as four columns: app ids, periods, kinds, integer cents."""
 
-    __slots__ = ("columns",)
-
-    def __init__(self, app_ids: list, periods: list, kinds: list, amounts: list):
-        self.columns = (app_ids, periods, kinds, amounts)
-
-    def __len__(self) -> int:
-        return len(self.columns[3])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Ledger(*(column[index] for column in self.columns))
-        return Transaction(*(column[index] for column in self.columns))
-
-    def __iter__(self):
-        return map(Transaction, *self.columns)
-
-    def __eq__(self, other):
-        """Equal to a Ledger with equal columns, or to a list of the same
-        Transactions in the same order."""
-        if isinstance(other, Ledger):
-            return self.columns == other.columns
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
+    __slots__ = ()
+    row = Transaction
 
 
 @dataclass(frozen=True)
@@ -119,13 +98,20 @@ def _schedule_commission_cents(policy: CommissionPolicy, gross_cents: int) -> in
     return _round_half_up(total)
 
 
-def _build_statement(transactions: Iterable[Transaction],
-                     policy: CommissionPolicy,
-                     premium_flags: Optional[Sequence[bool]] = None
-                     ) -> SettlementStatement:
-    """The app and period sets and one pass over (kind, cents, premium
-    flag), read from a Ledger's columns or else from each transaction;
-    without flags every transaction is premium, i.e. commission-bearing."""
+def settle(transactions: Iterable[Transaction],
+           policy: CommissionPolicy) -> SettlementStatement:
+    """Settle one app's period ledger under a commission policy: every
+    transaction is premium, i.e. commission-bearing."""
+    return settle_freemium(transactions, policy, None)
+
+
+def settle_freemium(transactions: Iterable[Transaction],
+                    policy: CommissionPolicy,
+                    premium_flags: Optional[Sequence[bool]]) -> SettlementStatement:
+    """Settle with commission charged on premium-flagged transactions only;
+    free-tier entries are served but counted at zero commission, and None
+    flags every transaction premium. One pass over (kind, cents, premium
+    flag), read from a Ledger's columns or else from each transaction."""
     if isinstance(transactions, Ledger):
         app_ids, period_ids, kinds, amounts = transactions.columns
     else:
@@ -155,8 +141,8 @@ def _build_statement(transactions: Iterable[Transaction],
     else:
         commission = _schedule_commission_cents(policy, app_gross)
         if ad_gross:
-            ad_rate = policy.ad_share if policy.ad_share is not None else 0.0
-            commission += _round_half_up(Decimal(repr(ad_rate)) * ad_gross)
+            ad_rate = Decimal(repr(policy.ad_share or 0.0))
+            commission += _round_half_up(ad_rate * ad_gross)
     gross = sum(per_kind.values())
     free_count = 0 if premium_flags is None else len(premium_flags) - premium
     return SettlementStatement(
@@ -164,20 +150,6 @@ def _build_statement(transactions: Iterable[Transaction],
         gross_cents=gross, commission_cents=commission, payout_cents=gross - commission,
         effective_rate=commission / gross if gross else 0.0,
         per_kind_cents=per_kind, free_count=free_count)
-
-
-def settle(transactions: Iterable[Transaction],
-           policy: CommissionPolicy) -> SettlementStatement:
-    """Settle one app's period ledger under a commission policy."""
-    return _build_statement(transactions, policy)
-
-
-def settle_freemium(transactions: Iterable[Transaction],
-                    policy: CommissionPolicy,
-                    premium_flags: Sequence[bool]) -> SettlementStatement:
-    """Settle with commission charged on premium-flagged transactions only;
-    free-tier entries are served but counted at zero commission."""
-    return _build_statement(transactions, policy, premium_flags)
 
 
 def format_cents(cents: int) -> str:

@@ -2,8 +2,12 @@
 
 The oracles here never call the solver's search paths: effort optima come
 from dense numpy grid scans of the profit function evaluated directly from
-the model formulas. ``participation_counts`` reads N(alpha) off ``sweep``.
+the model formulas, and ``exact_linear_alpha`` solves the linear game's outer
+problem in 60-digit decimals. ``participation_counts`` reads N(alpha) off
+``sweep``.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -90,6 +94,41 @@ def oracle_alpha_grid(population, c, step=1e-5):
         total += np.where(entered, alphas * r - c * e, 0.0)
     i = int(np.argmax(total))
     return float(alphas[i]), float(total[i])
+
+
+def exact_linear_alpha(population, c):
+    """The platform's optimal flat rate and profit, in 60-digit decimals, for
+    linear revenue, quadratic cost, usage q = e and no ad revenue.
+
+    Developer i enters exactly when alpha <= x_i = 1 - sqrt(2 k_i pi0_i) / A_i.
+    With the exits in descending order, the entrants over each segment between
+    two exits are fixed, and platform profit there is (1 - alpha)(alpha S1 -
+    c S0), S0 = sum A/k and S1 = sum A^2/k over the entrants. Its vertex
+    (S1 + c S0) / (2 S1), clipped to the segment, is the segment's best; the
+    first best over all segments is returned as ``(alpha, profit)``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, zero = Decimal(c), Decimal(0)
+        exits = []
+        for p in population:
+            assert (p.tech.family, p.cost.exponent) == ("linear", 2)
+            assert p.tech.usage_per_revenue is None and p.ad_revenue == 0
+            scale, k = Decimal(p.tech.scale), Decimal(p.cost.k)
+            x = 1 - (2 * k * Decimal(p.reservation_profit)).sqrt() / scale
+            exits.append((x, scale / k, scale * scale / k))
+        exits.sort(key=lambda exit: exit[0], reverse=True)
+        best_alpha, best_profit = Decimal(1), zero  # the platform earns 0 at 1
+        s0 = s1 = zero
+        next_exits = [x for x, _, _ in exits[1:]] + [zero]
+        for (hi, a_over_k, a2_over_k), lo in zip(exits, next_exits):
+            if hi < 0:
+                break
+            s0, s1 = s0 + a_over_k, s1 + a2_over_k
+            alpha = min(max((s1 + c * s0) / (2 * s1), lo, zero), hi)
+            profit = (1 - alpha) * (alpha * s1 - c * s0)
+            if profit > best_profit:
+                best_alpha, best_profit = alpha, profit
+        return best_alpha, best_profit
 
 
 def random_profiles(n, seed, families=("linear", "power"),

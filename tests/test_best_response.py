@@ -27,7 +27,8 @@ from revshare.model import (
     SubscriptionModel,
     effort_cost,
 )
-from revshare.participation import row_pow, sweep
+from revshare.montecarlo import risk_pooling_report
+from revshare.participation import participate, row_pow, sweep
 
 from conftest import central_diff, grid_best_effort, random_profiles
 
@@ -353,3 +354,46 @@ class TestDegressivePolicy:
         profit = r - commission - 0.5 * e ** 2
         assert br.net_profit >= profit.max() - 1e-6
         assert br.effort == pytest.approx(e[np.argmax(profit)], abs=1e-4)
+
+
+def overflowing(family="linear", scale=1e200, k=1e-200, beta=1.0):
+    """A profile DeveloperProfile accepts whose best response overflows a
+    float: effort (1 - alpha) * A / k is about 1e400 for linear revenue."""
+    return DeveloperProfile(
+        id="huge", tech=RevenueTechnology(family, scale=scale, beta=beta),
+        cost=EffortCost(k=k))
+
+
+class TestOverflowingBestResponse:
+    """A best response whose net profit is not a finite float is a
+    DomainError naming the developer and the rate, on every path to it."""
+
+    def test_solve_effort_linear(self):
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.5"):
+            solve_effort(overflowing(), 0.5)
+
+    def test_solve_effort_power(self):
+        profile = overflowing("power", scale=1e300, k=1e-300, beta=0.5)
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.5"):
+            solve_effort(profile, 0.5)
+
+    def test_participate(self):
+        # before, NaN >= 0 was False: silently no entrant
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.5"):
+            participate([overflowing()], 0.5)
+
+    def test_risk_pooling_report(self):
+        # before, a mean of 0.0 from a pool with no entrant
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.5"):
+            risk_pooling_report([overflowing()], 0.5, 0.0, 0.5)
+
+    def test_compare_models(self):
+        # before, NonConvergenceError: a bounded problem called unbounded
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.25"):
+            compare_models(overflowing(), [RsiModel(), PayPerTokenModel(0.1)], 0.0)
+
+    def test_solve_effort_policy(self):
+        # before, effort 1e-200 with net profit 0.7
+        policy = CommissionPolicy.degressive([(0, 0.3), (1, 0.1)])
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.3"):
+            solve_effort_policy(overflowing(), policy)

@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from revshare.model import (
     PlatformParams,
     RevenueTechnology,
 )
+from revshare.montecarlo import PopulationSpec, generate_population
 from revshare.optimizer import max_rates, optimize_alpha, platform_profit
 from revshare.participation import participate, sweep
 
-from conftest import random_profiles
+from conftest import exact_linear_alpha, random_profiles
 
 
 def canonical_params(c):
@@ -257,3 +259,37 @@ class TestProfitCurve:
         swept = sweep([], [0.0, 0.5, 1.0], 0.2)
         assert swept.platform_profits == (0.0, 0.0, 0.0)
         assert swept.entrant_counts == (0, 0, 0)
+
+
+class TestExactLinearOracle:
+    """``optimize_alpha`` against the 60-digit optimum of the linear game, by
+    relative platform profit: the float entry test and the exact exit differ
+    by a few ulps, so the rates need not agree bit for bit."""
+
+    @staticmethod
+    def relative_gap(population, c):
+        _, exact = exact_linear_alpha(population, c)
+        found = optimize_alpha(PlatformParams(c, population)).platform_profit
+        return abs(exact - Decimal(found)) / exact
+
+    def test_oracle_closed_form(self, canonical_profile):
+        # one developer, A = k = 1, no outside option: alpha* = (1 + c) / 2
+        alpha, profit = exact_linear_alpha([canonical_profile], 0.2)
+        assert float(alpha) == 0.6 and float(profit) == pytest.approx(0.16, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", [
+        1, 2,
+        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the grid gives alpha* = 0.508239 where the "
+            "optimum is 0.505922, a relative profit gap of 1.52e-4"))),
+        4, 5, 6, 7, 8, 9, 10])
+    def test_generated_population(self, seed):
+        population = generate_population(PopulationSpec(200, seed))
+        assert self.relative_gap(population, 0.1) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_random_linear_profiles(self, seed):
+        population = random_profiles(50, seed, families=("linear",),
+                                     cost_families=("quadratic",),
+                                     reservation_hi=0.3)
+        assert self.relative_gap(population, 0.1) <= 1e-8

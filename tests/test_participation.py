@@ -311,7 +311,7 @@ class TestSweepOverPopulation:
         monkeypatch.setattr(CommissionPolicy, "flat", staticmethod(counted))
         pop = generate_population(PopulationSpec(size=5, seed=1))
         sweep(pop, rate_grid(0.0, 1.0, 1e-3), 0.1)
-        assert len(built) == 1
+        assert len(built) == 0
         with pytest.raises(DomainError, match=re.escape("rate out of [0,1]")):
             sweep(pop, [0.0, 0.5, math.nan], 0.1)
 
