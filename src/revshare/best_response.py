@@ -151,8 +151,6 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
     hi = expand_upper_bound(_reduced_profit(profile, 1.0))
     f = _reduced_profit(profile, retained)
     e = golden_section_max(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
-    if f(0.0) >= f(e):
-        e = 0.0  # minimal-effort tie-break
     return _package(profile, alpha, e, NUMERIC)
 
 
@@ -194,8 +192,7 @@ def solve_effort_policy(profile: DeveloperProfile,
         br = solve_effort(profile, rate)
         if br.method == NUMERIC:
             method = NUMERIC
-        if threshold <= br.gross_revenue < upper or (
-                math.isinf(upper) and br.gross_revenue >= threshold):
+        if threshold <= br.gross_revenue < upper:
             candidates.append(br.effort)
         edge = _invert_revenue(tech, threshold)
         if edge is not None:

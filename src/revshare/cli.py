@@ -48,7 +48,6 @@ from .settlement import (
     Ledger,
     format_cents,
     read_ledger,
-    settle,
     settle_freemium,
 )
 
@@ -169,8 +168,6 @@ def load_config(path: str) -> ExperimentConfig:
                 cfg.params[key] = _coerce(kind, raw)
             except ValueError:
                 raise DomainError(f"{path}: {key} = {raw!r} is not a valid {kind}")
-    elif "params" in parser:
-        cfg.params = dict(parser["params"])
     return cfg
 
 
@@ -337,16 +334,9 @@ def _run_solve(cfg: ExperimentConfig):
     report = optimize_alpha(params, grid_step=cfg.resolved("grid_step"))
     summary = (f"alpha*={report.alpha_star:.6f} "
                f"profit={report.platform_profit:.6f} N={report.n_entrants}")
-    return summary, {
-        "alpha_star": report.alpha_star,
-        "platform_profit": report.platform_profit,
-        "n_entrants": report.n_entrants,
-        "analytic_alpha": report.analytic_alpha,
-        "degenerate": report.degenerate,
-        "per_developer": [{"id": dev_id, **asdict(br)}
-                          for dev_id, br in report.per_developer],
-        "diagnostics": report.diagnostics,  # grid_size, refine_iterations
-    }
+    out = asdict(report)
+    out["per_developer"] = [{"id": i, **br} for i, br in out["per_developer"]]
+    return summary, out
 
 
 def _run_sweep(cfg: ExperimentConfig):
@@ -423,8 +413,8 @@ def _run_settle(cfg: ExperimentConfig):
             _parse_degressive(cfg.resolved("degressive")), ad_share=ad_share)
     else:
         policy = CommissionPolicy.flat(cfg.resolved("rate"), ad_share=ad_share)
-    return _statement_outcome(settle_freemium(txs, policy, flags)
-                              if cfg.resolved("freemium") else settle(txs, policy))
+    return _statement_outcome(settle_freemium(
+        txs, policy, flags if cfg.resolved("freemium") else None))
 
 
 def _run_pool(cfg: ExperimentConfig):

@@ -44,11 +44,10 @@ from .model import (
     require_finite_nonneg,
 )
 from .numeric import expand_upper_bound, grid_then_golden
-from .participation import developer_profit, entrant_profit
+from .participation import _UNSHARED, developer_profit, entrant_profit
 
 MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
                "marketplace")
-_NO_COMMISSION = CommissionPolicy.flat(0.0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,11 @@ def fee_schedule(model) -> Tuple[CommissionPolicy, float, float, float]:
     if isinstance(model, RsiModel):
         return model.policy, 0.0, 0.0, 0.0
     if isinstance(model, PayPerTokenModel):
-        return _NO_COMMISSION, model.token_price, 0.0, 0.0
+        return _UNSHARED, model.token_price, 0.0, 0.0
     if isinstance(model, SubscriptionModel):
-        return _NO_COMMISSION, 0.0, 0.0, model.fee
+        return _UNSHARED, 0.0, 0.0, model.fee
     if isinstance(model, FreemiumModel):
-        return _NO_COMMISSION, model.overage_price, model.free_quota, 0.0
+        return _UNSHARED, model.overage_price, model.free_quota, 0.0
     if isinstance(model, MarketplaceModel):
         return CommissionPolicy.flat(model.commission), model.token_price, 0.0, 0.0
     raise DomainError(f"unknown business model {model!r}")
@@ -97,13 +96,13 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
     if t == 0.0:  # no per-request charge: the revenue-sharing problem
         br = solve_effort_policy(profile, policy)
         e, r, q, net = br.effort, br.gross_revenue, br.usage, br.net_profit - lump
-    else:  # t > 0 only on flat policies
+    else:  # t > 0 only on flat policies with no lump fee
         m, tech, cost = policy.rate, profile.tech, profile.cost
 
         def objective(e):
             _, r, q = reduced(tech, e)
             return ((1.0 - m) * r - t * (q - quota if q > quota else 0.0)
-                    - effort_cost(cost, e) - lump)
+                    - effort_cost(cost, e))
 
         hi = expand_upper_bound(objective)
         e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))

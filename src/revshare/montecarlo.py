@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (
-    CommissionPolicy,
     DeveloperProfile,
     DomainError,
     LINEAR_EFFORT,
@@ -29,7 +28,8 @@ from .model import (
     Population,
     require_finite_nonneg,
 )
-from .participation import MAX_POOL_CELLS, entrant_profit, participate
+from .participation import (MAX_POOL_CELLS, _UNSHARED, entrant_profit,
+                            participate)
 from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
@@ -231,18 +231,17 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     if draws * len(population) > MAX_POOL_CELLS:
         raise DomainError(f"draws x population size must be <= {MAX_POOL_CELLS}")
     require_finite_nonneg("marginal_cost", marginal_cost)
-    # earnings are the profit with no serving cost; the serving cost is
-    # minus the profit at a zero rate. Neither flat policy has an ad share,
-    # so each entrant's ad revenue would count times 0.0: it is passed as 0.0
-    cells = [(0.0, br.gross_revenue, br.usage)
-             for br in participate(population, alpha).responses.values()]
-    policy, free = CommissionPolicy.flat(alpha), CommissionPolicy.flat(0.0)
-    earnings = np.array([entrant_profit(*cell, policy, 0.0) for cell in cells])
+    # earnings: the profit at no serving cost; serving cost: minus the profit
+    # at rate 0. _UNSHARED has no ad share, so every ad revenue is passed as 0.0
+    responses = participate(population, alpha).responses.values()
+    gross, usage = (np.array([getattr(br, f) for br in responses], dtype=float)
+                    for f in ("gross_revenue", "usage"))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    hits = rng.random((draws, len(earnings))) < success_prob
-    with np.errstate(over="ignore"):  # an overflow is the DomainError below
-        total_cost = -float(np.array([entrant_profit(*cell, free, marginal_cost)
-                                      for cell in cells]).sum())
+    hits = rng.random((draws, len(gross))) < success_prob
+    with np.errstate(over="ignore", invalid="ignore"):  # the DomainError below
+        earnings = entrant_profit(0.0, gross, usage, _UNSHARED, 0.0, alpha)
+        total_cost = -float(entrant_profit(0.0, gross, usage, _UNSHARED,
+                                           marginal_cost, 0.0).sum())
         deterministic = float(earnings.sum()) - total_cost
         samples = hits @ earnings - total_cost
     if not (math.isfinite(deterministic) and np.isfinite(samples).all()):
