@@ -119,13 +119,18 @@ def _reduced_profit(profile: DeveloperProfile, retained: float):
     return lambda e: retained * reduced(tech, e)[1] - effort_cost(cost, e)
 
 
+def overflow_error(profile: DeveloperProfile, alpha: float) -> DomainError:
+    """The error for a best response that overflows a float, on every path."""
+    return DomainError(f"developer {profile.id!r} at alpha {alpha}: "
+                       "the best response overflows a float")
+
+
 def _package(profile: DeveloperProfile, alpha: float, e: float,
              method: str) -> BestResponse:
     price, gross, q = reduced(profile.tech, e)
     profit = (1.0 - alpha) * gross - effort_cost(profile.cost, e)
     if not math.isfinite(profit):
-        raise DomainError(f"developer {profile.id!r} at alpha {alpha}: "
-                          "the best response overflows a float")
+        raise overflow_error(profile, alpha)
     residual = foc_residual(profile, alpha, e) if e > 0 else 0.0
     return BestResponse(effort=e, price=price, gross_revenue=gross, usage=q,
                         net_profit=profit, foc_residual=residual, method=method)
@@ -142,16 +147,19 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
         return _package(profile, alpha, 0.0, ANALYTIC)
 
     tech, cost = profile.tech, profile.cost
-    if not force_numeric and tech.family != LINEAR_DEMAND:
-        e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
-                        cost.k, cost.exponent)[0]
-        return _package(profile, alpha, e, ANALYTIC)
+    try:
+        if not force_numeric and tech.family != LINEAR_DEMAND:
+            e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
+                            cost.k, cost.exponent)[0]
+            return _package(profile, alpha, e, ANALYTIC)
 
-    # past this effort the profit falls even when they keep everything
-    hi = expand_upper_bound(_reduced_profit(profile, 1.0))
-    f = _reduced_profit(profile, retained)
-    e = golden_section_max(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
-    return _package(profile, alpha, e, NUMERIC)
+        # past this effort the profit falls even when they keep everything
+        hi = expand_upper_bound(_reduced_profit(profile, 1.0))
+        f = _reduced_profit(profile, retained)
+        e = golden_section_max(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
+        return _package(profile, alpha, e, NUMERIC)
+    except OverflowError:  # a power out of range, which ** raises
+        raise overflow_error(profile, alpha) from None
 
 
 def _invert_revenue(tech: RevenueTechnology, target: float) -> Optional[float]:

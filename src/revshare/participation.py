@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .best_response import BestResponse, closed_form, solve_effort
+from .best_response import BestResponse, closed_form, overflow_error, solve_effort
 from .model import (LINEAR_DEMAND, CommissionPolicy, DeveloperProfile,
                     DomainError, Population, require_finite_nonneg,
                     require_rate)
@@ -181,19 +181,25 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
         for a in alpha_grid[1:]:
             require_rate(a)
     alphas = np.array(alpha_grid, dtype=float)
-    for i, (family, scale, beta, kappa, k, m, pi0, ad) in enumerate(_rows(ordered)):
-        if family == LINEAR_DEMAND:
-            cells = [solve_effort(ordered[i], a) for a in alpha_grid]
-            gross, q, net = (np.array([getattr(br, f) for br in cells]) for f in
-                             ("gross_revenue", "usage", "net_profit"))
-        else:
-            _, gross, q, net = closed_form(alphas, scale, beta, kappa, k, m, row_pow)
-        pi = developer_profit(ad, net, policy)
-        enter = pi >= pi0
-        platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)
-        np.add(profits, platform, out=profits, where=enter)
-        np.add(surplus, pi, out=surplus, where=enter)
-        counts += enter
+    try:  # an overflow is the DomainError that participate gives
+        with np.errstate(over="raise", invalid="raise"):
+            for i, (family, scale, beta, kappa, k, m, pi0, ad) in enumerate(
+                    _rows(ordered)):
+                if family == LINEAR_DEMAND:
+                    cells = [solve_effort(ordered[i], a) for a in alpha_grid]
+                    gross, q, net = (np.array([getattr(br, f) for br in cells]) for f in
+                                     ("gross_revenue", "usage", "net_profit"))
+                else:
+                    gross, q, net = closed_form(alphas, scale, beta, kappa, k, m,
+                                                row_pow)[1:]
+                pi = developer_profit(ad, net, policy)
+                enter = pi >= pi0
+                platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)
+                np.add(profits, platform, out=profits, where=enter)
+                np.add(surplus, pi, out=surplus, where=enter)
+                counts += enter
+    except (FloatingPointError, OverflowError):
+        raise overflow_error(ordered[i], alpha_grid[0]) from None
     profits, surplus, counts = profits.tolist(), surplus.tolist(), counts.tolist()
     best_a, best_pi = math.nan, -math.inf
     for a, pi in zip(alpha_grid, profits):

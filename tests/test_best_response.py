@@ -22,15 +22,18 @@ from revshare.model import (
     FreemiumModel,
     MarketplaceModel,
     PayPerTokenModel,
+    PlatformParams,
     RevenueTechnology,
     RsiModel,
     SubscriptionModel,
     effort_cost,
 )
 from revshare.montecarlo import risk_pooling_report
+from revshare.optimizer import optimize_alpha
 from revshare.participation import participate, row_pow, sweep
 
-from conftest import central_diff, grid_best_effort, random_profiles
+from conftest import (central_diff, cost_grid, grid_best_effort, random_profiles,
+                      revenue_grid)
 
 
 class TestSolveEffort:
@@ -355,6 +358,38 @@ class TestDegressivePolicy:
         assert br.net_profit >= profit.max() - 1e-6
         assert br.effort == pytest.approx(e[np.argmax(profit)], abs=1e-4)
 
+    def test_linear_demand_beats_grid(self):
+        # each band's numeric best response and each band edge, where
+        # (a + b*e)^2 / (4d) reaches the threshold, are the candidates;
+        # b = 0 has no edge. b^2 < 2dk bends the quadratic-cost profit down
+        rng = np.random.default_rng(7)
+        kinks = 0
+        for i in range(12):
+            a, d, k = (float(x) for x in rng.uniform(0.5, 2.0, size=3))
+            b = 0.0 if i == 0 else float(rng.uniform(0.1, 0.9) * math.sqrt(2 * d * k))
+            cost = (EffortCost(k=k) if i % 2 else EffortCost(
+                "power_convex", k=k, exponent=float(rng.uniform(2.5, 4.0))))
+            profile = DeveloperProfile(
+                id=f"d{i}", cost=cost, tech=RevenueTechnology(
+                    "linear_demand", demand_base=a, demand_quality=b,
+                    demand_slope=d, usage_per_revenue=1.0))
+            threshold = float(rng.uniform(0.2, 1.0))
+            first, second = (float(x) for x in rng.uniform(0.0, 0.9, size=2))
+            policy = CommissionPolicy.degressive([(0.0, first), (threshold, second)])
+            br = solve_effort_policy(profile, policy)
+            e_max = 1.0  # past it revenue is below the effort cost
+            while revenue_grid(profile.tech, e_max) >= cost_grid(cost, e_max):
+                e_max *= 2
+            e = np.linspace(0.0, e_max, 600_001)
+            r = revenue_grid(profile.tech, e)
+            commission = first * np.minimum(r, threshold) + second * np.maximum(
+                r - threshold, 0.0)
+            profit = r - commission - cost_grid(cost, e)
+            assert br.method == "numeric", i
+            assert br.net_profit >= profit.max() - 1e-9, i
+            kinks += br.gross_revenue == pytest.approx(threshold, abs=1e-12)
+        assert kinks  # some optimum is a band edge, where the rate rises
+
 
 def overflowing(family="linear", scale=1e200, k=1e-200, beta=1.0):
     """A profile DeveloperProfile accepts whose best response overflows a
@@ -397,3 +432,38 @@ class TestOverflowingBestResponse:
         policy = CommissionPolicy.degressive([(0, 0.3), (1, 0.1)])
         with pytest.raises(DomainError, match="developer 'huge' at alpha 0.3"):
             solve_effort_policy(overflowing(), policy)
+
+    def test_sweep(self):
+        # before, NumPy's overflow warning, then no entrant at any rate
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.0"):
+            sweep([overflowing()], [0.0, 0.5], 0.0)
+
+    def test_optimize_alpha(self):
+        # before, the same warning from each grid's sweep
+        with pytest.raises(DomainError, match="developer 'huge' at alpha 0.0"):
+            optimize_alpha(PlatformParams(0.0, [overflowing()]))
+
+
+def cubed_overflowing():
+    """A profile that validates whose effort, about 7e149, overflows a float
+    when cubed: Python's ``**`` raises OverflowError there."""
+    return DeveloperProfile(
+        id="huge", tech=RevenueTechnology("linear", scale=1e150),
+        cost=EffortCost("power_convex", k=1e-150, exponent=3.0))
+
+
+class TestCubedEffortOverflow:
+    """Before, each path raised a bare OverflowError from ``**``."""
+
+    @pytest.mark.parametrize("alpha,path", [
+        (0.5, lambda p: solve_effort(p, 0.5)),
+        (0.5, lambda p: participate([p], 0.5)),
+        (0.0, lambda p: sweep([p], [0.0, 0.5], 0.0)),
+        (0.0, lambda p: optimize_alpha(PlatformParams(0.0, [p]))),
+        (0.25, lambda p: compare_models(p, [RsiModel()], 0.0)),
+        (0.5, lambda p: risk_pooling_report([p], 0.5, 0.0, 0.5)),
+    ], ids=["solve_effort", "participate", "sweep", "optimize_alpha",
+            "compare_models", "risk_pooling_report"])
+    def test_domain_error(self, alpha, path):
+        with pytest.raises(DomainError, match=f"developer 'huge' at alpha {alpha}:"):
+            path(cubed_overflowing())

@@ -51,6 +51,17 @@ class TestPlatformProfit:
         # usage e* = 0.5 < 10: cost incurred, no commission
         assert platform_profit(params, policy) == pytest.approx(-0.05)
 
+    def test_usage_at_the_threshold_is_charged(self):
+        # usage e* = 1 - alpha is exactly the threshold at alpha = 0.5, so the
+        # commission is charged: 0.5 * 0.5 - 0.2 * 0.5. Above 0.5 it is waived
+        params = canonical_params(0.2)
+        policy = CommissionPolicy.flat(0.5, activity_threshold=0.5)
+        assert participate(params.population, 0.5, policy,
+                           0.2).platform_profit == pytest.approx(0.15)
+        assert sweep(params.population, [0.5], 0.2,
+                     policy).platform_profits == pytest.approx((0.15,))
+        assert optimize_alpha(params, policy).alpha_star == 0.5
+
     def test_ad_share_contributes(self):
         dev = DeveloperProfile(
             id="d", tech=RevenueTechnology(family="linear"), cost=EffortCost(),
