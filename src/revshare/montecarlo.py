@@ -28,8 +28,7 @@ from .model import (
     Population,
     require_finite_nonneg,
 )
-from .participation import (MAX_POOL_CELLS, _UNSHARED, entrant_profit,
-                            participate)
+from .participation import MAX_POOL_CELLS, _UNSHARED, entrant_profit, participate
 from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
