@@ -19,6 +19,7 @@ from .model import (
     RevenueTechnology,
     effort_cost,
     marginal_effort_cost,
+    require_rate,
     revenue,
 )
 from .numeric import (  # noqa: F401  NonConvergenceError is re-exported
@@ -140,8 +141,7 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
                  force_numeric: bool = False) -> BestResponse:
     """Best response to a flat commission rate alpha: ``closed_form`` where
     the family pair has one (not linear_demand), else a golden-section search."""
-    if not (0 <= alpha <= 1):
-        raise DomainError("alpha out of [0,1]")
+    require_rate(alpha)
     retained = 1.0 - alpha
     if retained == 0:
         return _package(profile, alpha, 0.0, ANALYTIC)
@@ -167,7 +167,10 @@ def _invert_revenue(tech: RevenueTechnology, target: float) -> Optional[float]:
     if target <= 0:
         return 0.0
     if tech.family != LINEAR_DEMAND:
-        return (target / tech.scale) ** (1.0 / tech.beta)
+        try:
+            return (target / tech.scale) ** (1.0 / tech.beta)
+        except OverflowError:  # past the largest float: no effort reaches it
+            return None
     # (a+b*e)^2/(4d) = target
     if tech.demand_quality == 0:
         return None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .model import DomainError
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _MAX_ITER = 200   # golden-section steps; 0.618**200 is below 1e-41
 _N_COARSE = 512   # grid cells scanned before the golden-section polish
@@ -13,19 +15,13 @@ _N_COARSE = 512   # grid cells scanned before the golden-section polish
 SEARCH_CAP = 1e15
 
 
-class NonConvergenceError(RuntimeError):
-    """Inner solver failed to bracket or converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
+class NonConvergenceError(DomainError):
+    """The inner search found no optimum below SEARCH_CAP."""
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        tol: float = 1e-10) -> float:
     """Maximize a unimodal f on [lo, hi]; returns the argmax to within tol."""
-    if hi < lo:
-        raise ValueError("empty bracket")
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -51,8 +47,6 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
                      tol: float = 1e-10) -> float:
     """Robust maximizer for piecewise-concave objectives: coarse grid scan
     for the global bracket, golden-section polish inside it."""
-    if hi <= lo:
-        return lo
     step = (hi - lo) / _N_COARSE
     best_i, best_v = 0, f(lo)
     for i in range(1, _N_COARSE + 1):
@@ -66,14 +60,14 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
 
 def expand_upper_bound(f: Callable[[float], float]) -> float:
     """Grow an upper search bound from 1 until f stops improving past it.
-    NonConvergenceError when f still improves at SEARCH_CAP: the problem
-    appears unbounded."""
+    NonConvergenceError when f still improves at SEARCH_CAP: the optimum,
+    if there is one, lies past the cap."""
     hi = 1.0
     while hi < SEARCH_CAP and f(hi * 2) > f(hi):
         hi *= 2
     hi = min(hi * 2, SEARCH_CAP)
     if hi >= SEARCH_CAP and f(hi) > f(hi / 2):
         raise NonConvergenceError(
-            "developer problem appears unbounded (marginal revenue never "
-            "falls below marginal cost)")
+            "developer problem has no optimum below the search cap "
+            f"{SEARCH_CAP:g}: the objective still rises there")
     return hi

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .best_response import BestResponse, closed_form, overflow_error, solve_effort
+from .best_response import BestResponse, closed_form, solve_effort
 from .model import (LINEAR_DEMAND, CommissionPolicy, DeveloperProfile,
                     DomainError, Population, require_finite_nonneg,
                     require_rate)
@@ -94,9 +94,10 @@ def participate(population: Sequence[DeveloperProfile], alpha: float,
     order.
 
     A flat ``policy`` supplies the ad share and activity threshold charged
-    at rate alpha. A degressive ``policy`` and duplicate developer ids are
-    a DomainError.
+    at rate alpha. A degressive ``policy``, duplicate ids, a bad serving
+    cost and a total that overflows a float are a DomainError.
     """
+    require_finite_nonneg("marginal_cost", marginal_cost)
     policy, ordered = _checked(population, alpha, policy)
     profits: Dict[str, float] = {}
     responses: Dict[str, BestResponse] = {}
@@ -110,6 +111,8 @@ def participate(population: Sequence[DeveloperProfile], alpha: float,
             platform += entrant_profit(profile.ad_revenue, br.gross_revenue,
                                        br.usage, policy, marginal_cost, alpha)
             surplus += pi
+    if not (math.isfinite(platform) and math.isfinite(surplus)):
+        raise DomainError(f"at alpha {alpha}: the entrants' total overflows a float")
     return ParticipationResult(entrants=tuple(profits), count=len(profits),
                                entry_profits=profits, responses=responses,
                                platform_profit=platform,
@@ -163,9 +166,9 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
           marginal_cost: float,
           policy: CommissionPolicy | None = None) -> SweepResult:
     """Evaluate entry, best responses and platform profit over an ascending
-    alpha grid, bit for bit as one ``participate`` pass per rate. A flat
-    ``policy`` supplies the ad share and activity threshold charged at every
-    rate. Ties break toward the smallest alpha: the argmax is the first maximum.
+    alpha grid, bit for bit as one ``participate`` pass per rate, errors
+    too. A flat ``policy`` supplies the ad share and activity threshold
+    charged at every rate. Ties break toward the smallest alpha.
     Each developer is one row over the grid (``closed_form`` with ``row_pow``,
     numpy alone for linear revenue and quadratic cost; ``solve_effort`` per
     rate for linear_demand) whose entrant cells are added to the per-rate
@@ -174,32 +177,36 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
         raise DomainError("alpha grid must be sorted ascending")
     require_finite_nonneg("marginal_cost", marginal_cost)
     n = len(alpha_grid)
-    profits, surplus, counts = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     ordered = []
     if n:  # participate's checks in its order: a rate, duplicate ids, the rest
         policy, ordered = _checked(population, alpha_grid[0], policy)
         for a in alpha_grid[1:]:
             require_rate(a)
     alphas = np.array(alpha_grid, dtype=float)
-    try:  # an overflow is the DomainError that participate gives
-        with np.errstate(over="raise", invalid="raise"):
-            for i, (family, scale, beta, kappa, k, m, pi0, ad) in enumerate(
-                    _rows(ordered)):
-                if family == LINEAR_DEMAND:
-                    cells = [solve_effort(ordered[i], a) for a in alpha_grid]
-                    gross, q, net = (np.array([getattr(br, f) for br in cells]) for f in
-                                     ("gross_revenue", "usage", "net_profit"))
-                else:
-                    gross, q, net = closed_form(alphas, scale, beta, kappa, k, m,
-                                                row_pow)[1:]
-                pi = developer_profit(ad, net, policy)
-                enter = pi >= pi0
-                platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)
-                np.add(profits, platform, out=profits, where=enter)
-                np.add(surplus, pi, out=surplus, where=enter)
-                counts += enter
-    except (FloatingPointError, OverflowError):
-        raise overflow_error(ordered[i], alpha_grid[0]) from None
+    for errors in ("raise", "ignore"):
+        profits, surplus, counts = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+        try:
+            with np.errstate(over=errors, invalid=errors):
+                for i, (family, scale, beta, kappa, k, m, pi0, ad) in enumerate(
+                        _rows(ordered)):
+                    if family == LINEAR_DEMAND:
+                        cells = [solve_effort(ordered[i], a) for a in alpha_grid]
+                        gross, q, net = np.array([(br.gross_revenue, br.usage,
+                                                   br.net_profit) for br in cells]).T
+                    else:
+                        gross, q, net = closed_form(alphas, scale, beta, kappa,
+                                                    k, m, row_pow)[1:]
+                    pi = developer_profit(ad, net, policy)
+                    enter = pi >= pi0
+                    platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)
+                    np.add(profits, platform, out=profits, where=enter)
+                    np.add(surplus, pi, out=surplus, where=enter)
+                    counts += enter
+            break
+        except (FloatingPointError, OverflowError, DomainError):
+            # raise participate's error; with none, no entrant reached the float error
+            for a in alpha_grid:
+                participate(ordered, a, policy, marginal_cost)
     profits, surplus, counts = profits.tolist(), surplus.tolist(), counts.tolist()
     best_a, best_pi = math.nan, -math.inf
     for a, pi in zip(alpha_grid, profits):

@@ -156,3 +156,19 @@ def random_profiles(n, seed, families=("linear", "power"),
             reservation_profit=float(rng.uniform(0.0, reservation_hi)),
         ))
     return out
+
+
+def overflowing(family="linear", scale=1e200, k=1e-200, beta=1.0):
+    """A profile DeveloperProfile accepts whose best response overflows a
+    float: effort (1 - alpha) * A / k is about 1e400 for linear revenue."""
+    return DeveloperProfile(
+        id="huge", tech=RevenueTechnology(family, scale=scale, beta=beta),
+        cost=EffortCost(k=k))
+
+
+def cubed_overflowing():
+    """A profile that validates whose effort, about 7e149, overflows a float
+    when cubed: Python's ``**`` raises OverflowError there."""
+    return DeveloperProfile(
+        id="huge", tech=RevenueTechnology("linear", scale=1e150),
+        cost=EffortCost("power_convex", k=1e-150, exponent=3.0))

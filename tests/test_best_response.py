@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from revshare.montecarlo import risk_pooling_report
 from revshare.optimizer import optimize_alpha
 from revshare.participation import participate, row_pow, sweep
 
-from conftest import (central_diff, cost_grid, grid_best_effort, random_profiles,
-                      revenue_grid)
+from conftest import (central_diff, cost_grid, cubed_overflowing, grid_best_effort,
+                      overflowing, random_profiles, revenue_grid)
 
 
 class TestSolveEffort:
@@ -391,14 +392,6 @@ class TestDegressivePolicy:
         assert kinks  # some optimum is a band edge, where the rate rises
 
 
-def overflowing(family="linear", scale=1e200, k=1e-200, beta=1.0):
-    """A profile DeveloperProfile accepts whose best response overflows a
-    float: effort (1 - alpha) * A / k is about 1e400 for linear revenue."""
-    return DeveloperProfile(
-        id="huge", tech=RevenueTechnology(family, scale=scale, beta=beta),
-        cost=EffortCost(k=k))
-
-
 class TestOverflowingBestResponse:
     """A best response whose net profit is not a finite float is a
     DomainError naming the developer and the rate, on every path to it."""
@@ -444,14 +437,6 @@ class TestOverflowingBestResponse:
             optimize_alpha(PlatformParams(0.0, [overflowing()]))
 
 
-def cubed_overflowing():
-    """A profile that validates whose effort, about 7e149, overflows a float
-    when cubed: Python's ``**`` raises OverflowError there."""
-    return DeveloperProfile(
-        id="huge", tech=RevenueTechnology("linear", scale=1e150),
-        cost=EffortCost("power_convex", k=1e-150, exponent=3.0))
-
-
 class TestCubedEffortOverflow:
     """Before, each path raised a bare OverflowError from ``**``."""
 
@@ -467,3 +452,28 @@ class TestCubedEffortOverflow:
     def test_domain_error(self, alpha, path):
         with pytest.raises(DomainError, match=f"developer 'huge' at alpha {alpha}:"):
             path(cubed_overflowing())
+
+
+class TestUnreachableBandEdge:
+    def test_band_past_the_largest_float_is_no_candidate(self):
+        # the 1e30 threshold needs an effort of about 1e400; before, every
+        # path raised a bare OverflowError
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology("power", scale=1e-10, beta=0.1),
+            cost=EffortCost(k=1.0))
+        policy = CommissionPolicy.degressive([(0, 0.3), (1e30, 0.1)])
+        lower = solve_effort(profile, 0.3)
+        br = solve_effort_policy(profile, policy)
+        assert (br.effort, br.method) == (lower.effort, "analytic")
+        assert br.effort == 1.3458571572631797e-06
+        row = compare_models(profile, [RsiModel(policy=policy)], 0.0).rows[0]
+        assert row.effort == lower.effort
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p: foc_residual(p, 0.5, -1.0), "effort must be >= 0"),
+    (lambda p: solve_effort(p, 1.5), "rate out of [0,1]"),
+], ids=["foc_residual-effort", "solve_effort-rate"])
+def test_rejection_message(canonical_profile, call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(canonical_profile)

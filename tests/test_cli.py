@@ -763,3 +763,30 @@ class TestConfigHandling:
                                "--out", "r.json")
         assert status == 0
         assert (tmp_path / "r.json").exists()
+
+
+class TestRejectionMessages:
+    def test_config_file_not_found(self, tmp_path):
+        path = str(tmp_path / "missing.ini")
+        with pytest.raises(DomainError) as err:
+            load_config(path)
+        assert str(err.value) == f"config file not found: {path}"
+
+    def test_config_without_experiment_section(self, tmp_path):
+        path = tmp_path / "params.ini"
+        path.write_text("[params]\nsize = 3\n")
+        with pytest.raises(DomainError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}: missing [experiment] section"
+
+    def test_unknown_command(self):
+        assert validate(ExperimentConfig(command="nope")) == [
+            "unknown command 'nope'"]
+
+    def test_bad_degressive_band(self, tmp_path):
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("app_id,period,kind,amount_cents\na,p,sale,1\n")
+        cfg = ExperimentConfig(command="settle", params={
+            "ledger": str(ledger), "degressive": "0:0.3,100-0.2"})
+        assert validate(cfg) == [
+            "bad degressive band '100-0.2', expected t:rate"]

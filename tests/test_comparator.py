@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,3 +312,21 @@ class TestCapitalFrontier:
                                                             False]
             frontiers.append(t)
         assert 0 < sum(map(math.isinf, frontiers)) < len(frontiers)
+
+
+class TestSearchCap:
+    @pytest.mark.parametrize("scale", [1e20, 1e200])
+    def test_fee_row_optimum_past_the_cap_is_a_domain_error(self, scale):
+        # the optimum ((1 - m)A - t)/k lies past the 1e15 cap; before, a
+        # NonConvergenceError that was not a DomainError and called this
+        # bounded problem unbounded
+        profile = DeveloperProfile(
+            id="d", tech=RevenueTechnology("linear", scale=scale),
+            cost=EffortCost(k=1.0))
+        with pytest.raises(DomainError, match=re.escape(
+                "developer problem has no optimum below the search cap 1e+15")):
+            compare_models(profile, [PayPerTokenModel(0.1)], 0.0)
+
+    def test_unknown_business_model(self, canonical_profile):
+        with pytest.raises(DomainError, match="unknown business model 'rsi'"):
+            evaluate_model(canonical_profile, "rsi", 0.0)

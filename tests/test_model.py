@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from revshare.model import (
     RevenueTechnology,
     SubscriptionModel,
     effort_cost,
+    marginal_effort_cost,
     revenue,
 )
 
@@ -237,3 +239,29 @@ class TestBusinessModelValidation:
         for cost, capital in ((math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)):
             with pytest.raises(DomainError):
                 evaluate_model(canonical_profile, ppt, cost, capital)
+
+
+DEMAND = dict(family="linear_demand", usage_per_revenue=1.0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: RevenueTechnology("linear", scale=0.0), "scale must be positive"),
+    (lambda: RevenueTechnology(demand_base=-1.0, **DEMAND),
+     "demand_base and demand_quality must be >= 0"),
+    (lambda: RevenueTechnology(demand_slope=0.0, **DEMAND),
+     "demand_slope must be positive"),
+    (lambda: RevenueTechnology("linear_demand"),
+     "linear_demand requires usage_per_revenue"),
+    (lambda: EffortCost("cubic"), "unknown cost family 'cubic'"),
+    (lambda: CommissionPolicy(), "exactly one of rate / breakpoints must be set"),
+    (lambda: CommissionPolicy.flat(0.2).commission(-1.0),
+     "gross revenue must be >= 0"),
+    (lambda: revenue(RevenueTechnology(demand_base=1.0, **DEMAND), 1.0, 0.0),
+     "price must be positive"),
+    (lambda: marginal_effort_cost(EffortCost(), -1.0), "effort must be >= 0"),
+], ids=["scale", "demand-sign", "demand-slope", "demand-usage", "cost-family",
+        "policy-rate-or-breakpoints", "commission-gross", "price",
+        "marginal-cost-effort"])
+def test_rejection_message(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()

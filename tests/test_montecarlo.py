@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -409,3 +410,21 @@ def sum_usage(pop, alpha):
     from revshare.participation import participate
     res = participate(pop, alpha)
     return sum(res.responses[i].usage for i in res.entrants)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Distribution("lognormal", 0.0, -1.0), "lognormal sigma must be >= 0"),
+    (lambda: PopulationSpec(size=1, seed=0, family_mix=(("linear_demand", 1.0),)),
+     "unsupported generated family 'linear_demand'"),
+    (lambda: generate_population(PopulationSpec(
+        size=1, seed=0, scale_dist=Distribution("uniform", -2.0, -1.0))),
+     "distribution Distribution(kind='uniform', a=-2.0, b=-1.0) cannot produce "
+     "a draw in (0.0, inf] after 1000 tries"),
+    (lambda: risk_pooling_report([], 0.5, 0.0, 1.5), "success_prob out of [0,1]"),
+    (lambda: risk_pooling_report([], 0.5, 0.0, 0.5, draws=0),
+     "draws must be >= 1"),
+], ids=["lognormal-sigma", "generated-family", "rejection-sampling",
+        "success-prob", "draws"])
+def test_rejection_message(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()

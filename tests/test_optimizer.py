@@ -7,6 +7,7 @@ import pytest
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
+    DomainError,
     EffortCost,
     PlatformParams,
     RevenueTechnology,
@@ -304,3 +305,10 @@ class TestExactLinearOracle:
                                      cost_families=("quadratic",),
                                      reservation_hi=0.3)
         assert self.relative_gap(population, 0.1) <= 1e-8
+
+
+@pytest.mark.parametrize("grid_step", [0.0, 1e-7, 2.0])
+def test_grid_step_out_of_range(grid_step):
+    with pytest.raises(DomainError) as err:
+        optimize_alpha(canonical_params(0.1), grid_step=grid_step)
+    assert str(err.value) == "grid_step must be in [1e-06, 1]"

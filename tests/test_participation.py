@@ -14,7 +14,8 @@ from revshare.optimizer import platform_profit
 from revshare.participation import (MAX_POOL_CELLS, SweepResult, participate,
                                     rate_grid, sweep)
 
-from conftest import participation_counts, random_profiles
+from conftest import (cubed_overflowing, overflowing, participation_counts,
+                      random_profiles)
 
 
 def make_dev(dev_id, pi0):
@@ -323,3 +324,65 @@ class TestMissingRate:
                                                    policy):
         with pytest.raises(DomainError, match="alpha"):
             participate([canonical_profile], None, policy)
+
+
+def linear(dev_id, scale, k=1.0, pi0=0.0):
+    return DeveloperProfile(
+        id=dev_id, tech=RevenueTechnology(family="linear", scale=scale),
+        cost=EffortCost(k=k), reservation_profit=pi0)
+
+
+# developers that validate but overflow a float at some rate: the best
+# response, its cubed effort, the entrants' total, a non-entrant's cost
+OVERFLOWING = [
+    [overflowing()],
+    [dataclasses.replace(cubed_overflowing(), id="cubed")],
+    [linear(f"d{i}", 1.3e154) for i in range(5)],
+    [linear("n", 2.0, pi0=10.0)],
+]
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestSweepMatchesReferenceOnOverflow:
+    @settings(max_examples=300, deadline=None)
+    @given(pop=populations(), picks=st.lists(st.sampled_from(OVERFLOWING),
+                                             min_size=1, max_size=3, unique_by=id),
+           grid=grids, cost=st.sampled_from([0.0, 0.1, 1e308]),
+           policy=flat_policies)
+    def test_same_result_or_same_error(self, pop, picks, grid, cost, policy):
+        pop = pop + [p for group in picks for p in group]
+        assert outcome(sweep, pop, grid, cost, policy) == \
+            outcome(reference_sweep, pop, grid, cost, policy)
+
+    def test_overflowing_total_names_the_rate(self):
+        # before, participate returned inf and sweep blamed developer 'd2',
+        # whose best response is finite
+        pop = OVERFLOWING[2]
+        with pytest.raises(DomainError, match=re.escape(
+                "at alpha 0.5: the entrants' total overflows a float")):
+            participate(pop, 0.5)
+        with pytest.raises(DomainError, match=re.escape(
+                "at alpha 0.0: the entrants' total overflows a float")):
+            sweep(pop, [0.0, 0.5], 0.0)
+
+    def test_non_entrant_serving_cost_is_left_out(self):
+        # before, sweep raised "developer 'n' at alpha 0.0" though no rate
+        # has an entrant
+        pop = OVERFLOWING[3]
+        fast = sweep(pop, [0.0, 0.5, 1.0], 1e308)
+        assert fast.entrant_counts == (0, 0, 0)
+        assert repr(fast) == repr(reference_sweep(pop, [0.0, 0.5, 1.0], 1e308))
+
+    @pytest.mark.parametrize("cost", [-1.0, math.nan, math.inf])
+    def test_participate_rejects_a_bad_serving_cost(self, canonical_profile,
+                                                    cost):
+        # before, a platform profit of 0.75, nan and -inf
+        with pytest.raises(DomainError,
+                           match="marginal_cost must be finite and >= 0"):
+            participate([canonical_profile], 0.5, None, cost)

@@ -435,3 +435,15 @@ class TestLedgerProperty:
             got = {statement(source, policy, *args).to_json()
                    for source in (txs, want, iter(want))}
             assert len(got) == 1
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: settle_freemium([tx(100), tx(200)], FLAT25, [True]),
+     "premium_flags must align with transactions"),
+    (lambda: settle([tx(100, period="2025-01"), tx(100, period="2025-02")], FLAT25),
+     "mixed periods in one settlement: ['2025-01', '2025-02']"),
+], ids=["premium-flags", "mixed-periods"])
+def test_rejection_message(make, message):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message
