@@ -245,25 +245,27 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if cfg.command == "settle":
         if not os.path.isfile(val("ledger")):
             issues.append(f"ledger file not found: {val('ledger')!r}")
-        if val("degressive"):
-            try:
-                CommissionPolicy.degressive(_parse_degressive(val("degressive")))
-            except DomainError as exc:
-                issues.append(str(exc))
+        try:
+            _settle_policy(cfg)
+        except DomainError as exc:
+            issues.append(str(exc))
     if cfg.output:
         issues += _output_issues(cfg.output)
     return issues
 
 
-def _parse_degressive(spec: str):
-    bands = []
-    for part in spec.split(","):
-        try:
-            threshold, rate = part.split(":")
-            bands.append((float(threshold), float(rate)))
-        except ValueError:
-            raise DomainError(f"bad degressive band {part!r}, expected t:rate")
-    return bands
+def _settle_policy(cfg: ExperimentConfig) -> CommissionPolicy:
+    """The --degressive bands, else the one band (0, --rate), with --ad-share."""
+    bands = [(0.0, cfg.resolved("rate"))]
+    if cfg.resolved("degressive"):
+        bands = []
+        for part in cfg.resolved("degressive").split(","):
+            try:
+                threshold, rate = part.split(":")
+                bands.append((float(threshold), float(rate)))
+            except ValueError:
+                raise DomainError(f"bad degressive band {part!r}, expected t:rate")
+    return CommissionPolicy(tuple(bands), cfg.resolved("ad_share"))
 
 
 def _resolve_output(path: str) -> str:
@@ -407,14 +409,8 @@ def _run_scenario(cfg: ExperimentConfig):
 
 def _run_settle(cfg: ExperimentConfig):
     txs, flags = read_ledger(cfg.resolved("ledger"))
-    ad_share = cfg.resolved("ad_share")
-    if cfg.resolved("degressive"):
-        policy = CommissionPolicy.degressive(
-            _parse_degressive(cfg.resolved("degressive")), ad_share=ad_share)
-    else:
-        policy = CommissionPolicy.flat(cfg.resolved("rate"), ad_share=ad_share)
     return _statement_outcome(settle_freemium(
-        txs, policy, flags if cfg.resolved("freemium") else None))
+        txs, _settle_policy(cfg), flags if cfg.resolved("freemium") else None))
 
 
 def _run_pool(cfg: ExperimentConfig):

@@ -35,10 +35,10 @@ def require_finite_nonneg(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and >= 0")
 
 
-def require_rate(rate: float) -> None:
-    """DomainError unless 0 <= rate <= 1; NaN fails too."""
-    if not 0 <= rate <= 1:
-        raise DomainError("rate out of [0,1]")
+def require_rate(value: float, name: str = "rate") -> None:
+    """DomainError unless 0 <= value <= 1; NaN fails too."""
+    if not 0 <= value <= 1:
+        raise DomainError(f"{name} out of [0,1]")
 
 
 @dataclass(frozen=True)
@@ -186,60 +186,55 @@ class PlatformParams:
 
 @dataclass(frozen=True)
 class CommissionPolicy:
-    """Commission schedule on gross app revenue, plus optional ad-revenue
-    share and an activity threshold under which no commission is charged.
+    """Commission schedule on gross app revenue, plus an ad-revenue share
+    and an activity threshold under which no commission is charged.
 
-    Either ``rate`` (flat) or ``breakpoints`` (degressive marginal bands,
-    first threshold must be 0) is set, never both.
+    The schedule is marginal bands ``((threshold, rate), ...)``, the first
+    at threshold 0; a flat rate is the one band ``((0.0, rate),)``.
     """
 
-    rate: Optional[float] = None
-    breakpoints: Optional[Tuple[Tuple[float, float], ...]] = None
-    ad_share: Optional[float] = None
+    breakpoints: Tuple[Tuple[float, float], ...]
+    ad_share: float = 0.0
     activity_threshold: float = 0.0
 
     def __post_init__(self):
-        if (self.rate is None) == (self.breakpoints is None):
-            raise DomainError("exactly one of rate / breakpoints must be set")
-        if self.rate is not None:
-            require_rate(self.rate)
-        if self.breakpoints is not None:
-            object.__setattr__(self, "breakpoints", tuple(
-                (float(t), float(r)) for t, r in self.breakpoints))
-            bps = self.breakpoints
-            if not bps or bps[0][0] != 0:
-                raise DomainError("degressive schedule must start at threshold 0")
-            for (t1, r1), (t2, r2) in zip(bps, bps[1:]):
-                if not t2 > t1:  # also rejects NaN
-                    raise DomainError(
-                        f"degressive breakpoints out of order: {t1} before {t2}")
-            for t, r in bps:
-                require_finite_nonneg("degressive threshold", t)
-                require_rate(r)
-        if self.ad_share is not None and not (0 <= self.ad_share <= 1):
-            raise DomainError("ad_share out of [0,1]")
+        object.__setattr__(self, "breakpoints", tuple(
+            (float(t), float(r)) for t, r in self.breakpoints))
+        bps = self.breakpoints
+        if not bps or bps[0][0] != 0:
+            raise DomainError("degressive schedule must start at threshold 0")
+        for (t1, r1), (t2, r2) in zip(bps, bps[1:]):
+            if not t2 > t1:  # also rejects NaN
+                raise DomainError(
+                    f"degressive breakpoints out of order: {t1} before {t2}")
+        for t, r in bps:
+            require_finite_nonneg("degressive threshold", t)
+            require_rate(r)
+        object.__setattr__(self, "ad_share", 0.0 if self.ad_share is None
+                           else float(self.ad_share))
+        require_rate(self.ad_share, "ad_share")
         require_finite_nonneg("activity_threshold", self.activity_threshold)
 
     @staticmethod
     def flat(rate: float, ad_share: Optional[float] = None,
              activity_threshold: float = 0.0) -> "CommissionPolicy":
-        return CommissionPolicy(rate=rate, ad_share=ad_share,
-                                activity_threshold=activity_threshold)
+        return CommissionPolicy(((0.0, rate),), ad_share, activity_threshold)
 
     @staticmethod
     def degressive(breakpoints, ad_share: Optional[float] = None,
                    activity_threshold: float = 0.0) -> "CommissionPolicy":
-        return CommissionPolicy(breakpoints=tuple(breakpoints), ad_share=ad_share,
-                                activity_threshold=activity_threshold)
+        return CommissionPolicy(breakpoints, ad_share, activity_threshold)
+
+    @property
+    def rate(self) -> Optional[float]:  # None for a degressive schedule
+        return self.breakpoints[0][1] if self.is_flat else None
 
     @property
     def is_flat(self) -> bool:
-        return self.rate is not None
+        return len(self.breakpoints) == 1
 
     def marginal_rate(self, gross: float) -> float:
         """Marginal commission rate at the given gross revenue level."""
-        if self.is_flat:
-            return self.rate
         current = self.breakpoints[0][1]
         for threshold, r in self.breakpoints:
             if gross >= threshold:
@@ -251,8 +246,6 @@ class CommissionPolicy:
         settlement module owns the exact integer-cent version)."""
         if gross < 0:
             raise DomainError("gross revenue must be >= 0")
-        if self.rate is not None:  # flat; not is_flat, this is a hot path
-            return self.rate * gross
         total = 0.0
         bps = self.breakpoints
         for i, (threshold, r) in enumerate(bps):
@@ -314,8 +307,7 @@ class MarketplaceModel:
     token_price: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.commission <= 1):
-            raise DomainError("marketplace commission out of [0,1]")
+        require_rate(self.commission, "marketplace commission")
         require_finite_nonneg("token_price", self.token_price)
 
 

@@ -27,6 +27,7 @@ from .model import (
     POWER_EFFORT,
     Population,
     require_finite_nonneg,
+    require_rate,
 )
 from .participation import MAX_POOL_CELLS, _UNSHARED, entrant_profit, participate
 from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
@@ -221,8 +222,7 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     """Monte Carlo of independent per-developer revenue realization: each
     entrant's revenue lands with probability s (serving cost is sunk either
     way). Dispersion relative to the mean shrinks as the pool grows."""
-    if not (0 <= success_prob <= 1):
-        raise DomainError("success_prob out of [0,1]")
+    require_rate(success_prob, "success_prob")
     if draws < 1:
         raise DomainError("draws must be >= 1")
     if seed < 0:

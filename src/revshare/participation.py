@@ -43,7 +43,7 @@ def developer_profit(ad_revenue: float, net: float,
                      policy: CommissionPolicy) -> float:
     """A developer's net profit, a float or a row, plus their ad-revenue share."""
     if ad_revenue > 0:
-        net = net + (1.0 - (policy.ad_share or 0.0)) * ad_revenue
+        net = net + (1.0 - policy.ad_share) * ad_revenue
     return net
 
 
@@ -59,7 +59,7 @@ def entrant_profit(ad_revenue: float, gross: float, usage: float,
     charged = usage >= policy.activity_threshold  # below it: cost absorbed
     commission = (policy.commission(gross) if alpha is None
                   else alpha * gross) * charged  # times False is +0.0
-    return (commission + (policy.ad_share or 0.0) * ad_revenue
+    return (commission + policy.ad_share * ad_revenue
             - marginal_cost * usage)
 
 

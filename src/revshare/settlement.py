@@ -83,8 +83,6 @@ def _round_half_up(x: Decimal) -> int:
 
 def _schedule_commission_cents(policy: CommissionPolicy, gross_cents: int) -> int:
     """Commission on app revenue, rounded half-up once on the period total."""
-    if policy.is_flat:
-        return _round_half_up(Decimal(repr(policy.rate)) * gross_cents)
     bps = policy.breakpoints
     # a band starting at or above the gross is empty, as is every later one;
     # its edge is never quantized, since a huge one overflows the Decimal context
@@ -141,7 +139,7 @@ def settle_freemium(transactions: Iterable[Transaction],
     else:
         commission = _schedule_commission_cents(policy, app_gross)
         if ad_gross:
-            ad_rate = Decimal(repr(policy.ad_share or 0.0))
+            ad_rate = Decimal(repr(policy.ad_share))
             commission += _round_half_up(ad_rate * ad_gross)
     gross = sum(per_kind.values())
     free_count = 0 if premium_flags is None else len(premium_flags) - premium

@@ -206,7 +206,14 @@ class TestSweepCommand:
           "--grid-step", "0.001", "--no-timestamp"],
          "d1cd083f93e00a23605f3f288672f4cfd742d932e04f7b44fd5744c4d1210c20"),
         (["solve", "--size", "200", "--seed", "3", "--cost", "0.1"],
-         "99ff4e8dcaad0a72e98020257d176055adf3bacbf187b2c34eb09a0403844ed9")])
+         "99ff4e8dcaad0a72e98020257d176055adf3bacbf187b2c34eb09a0403844ed9"),
+        (["settle", "--ledger", str(CONFIGS / "sample_ledger.csv"),
+          "--degressive", "0:0.30,10:0.20,20:0.10", "--ad-share", "0.3",
+          "--freemium"],
+         "5c1499e5bc8ff76e00ec69e61974a21ae24265e7cd861ca39503343b4b59c5aa"),
+        (["settle", "--ledger", str(CONFIGS / "sample_ledger.csv"),
+          "--rate", "0.25", "--ad-share", "0.3", "--freemium"],
+         "a25510aa589d01a63f808b470a6213be37b6412da595b31439d68dd91080df49")])
     def test_seeded_golden(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "report.out"
         assert run_cli(capsys, *argv, "--out", str(out))[0] == 0

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revshare.best_response import reduced
 from revshare.comparator import evaluate_model
@@ -203,6 +203,17 @@ class TestCommissionPolicy:
             with pytest.raises(DomainError):
                 CommissionPolicy.flat(0.2, activity_threshold=bad)
 
+    @given(r=st.floats(0.0, 1.0), g=st.floats(0.0, 1.7e308))
+    @example(r=0.3, g=5e-324)
+    @example(r=0.7, g=1.7e308)
+    @settings(max_examples=500)
+    def test_one_band_charges_the_flat_rate(self, r, g):
+        # the one-band loop gives the bits of the flat product r * g
+        p = CommissionPolicy.flat(r)
+        assert p.commission(g).hex() == (r * g).hex()
+        assert p.marginal_rate(g) == r
+        assert CommissionPolicy.degressive([(0, r)]) == p
+
     @given(g1=st.floats(0, 1e6), g2=st.floats(0, 1e6))
     @settings(max_examples=200)
     def test_degressive_total_nondecreasing(self, g1, g2):
@@ -253,14 +264,14 @@ DEMAND = dict(family="linear_demand", usage_per_revenue=1.0)
     (lambda: RevenueTechnology("linear_demand"),
      "linear_demand requires usage_per_revenue"),
     (lambda: EffortCost("cubic"), "unknown cost family 'cubic'"),
-    (lambda: CommissionPolicy(), "exactly one of rate / breakpoints must be set"),
+    (lambda: CommissionPolicy(()), "degressive schedule must start at threshold 0"),
     (lambda: CommissionPolicy.flat(0.2).commission(-1.0),
      "gross revenue must be >= 0"),
     (lambda: revenue(RevenueTechnology(demand_base=1.0, **DEMAND), 1.0, 0.0),
      "price must be positive"),
     (lambda: marginal_effort_cost(EffortCost(), -1.0), "effort must be >= 0"),
 ], ids=["scale", "demand-sign", "demand-slope", "demand-usage", "cost-family",
-        "policy-rate-or-breakpoints", "commission-gross", "price",
+        "policy-no-bands", "commission-gross", "price",
         "marginal-cost-effort"])
 def test_rejection_message(make, message):
     with pytest.raises(DomainError, match=re.escape(message)):

@@ -1,14 +1,17 @@
 import csv
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revshare.model import CommissionPolicy, DomainError
 from revshare.settlement import (
     Transaction,
+    _round_half_up,
+    _schedule_commission_cents,
     format_cents,
     parse_ledger,
     read_ledger,
@@ -70,6 +73,15 @@ class TestRounding:
     def test_exact_half_rounds_up(self):
         stmt = settle([tx(2)], CommissionPolicy.flat(0.25))  # 0.5 cents
         assert stmt.commission_cents == 1
+
+    @given(r=st.floats(0.0, 1.0), cents=st.integers(0, 10**18))
+    @example(r=0.1, cents=10**18)
+    @example(r=5e-324, cents=10**18)
+    @settings(max_examples=500)
+    def test_one_band_rounds_the_flat_product_once(self, r, cents):
+        # a flat rate's cents are the one band's: r * cents rounded half-up
+        assert _schedule_commission_cents(CommissionPolicy.flat(r), cents) \
+            == _round_half_up(Decimal(repr(r)) * cents)
 
 
 class TestDegressive:
