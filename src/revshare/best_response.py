@@ -47,15 +47,11 @@ class PriceSolution:
 
 
 def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
-    """Profit-maximizing price at fixed effort for the linear demand family:
-    the vertex of p*(a + b*e - d*p)."""
+    """Profit-maximizing price at fixed effort for the linear demand family,
+    as ``reduced`` states it."""
     if tech.family != LINEAR_DEMAND:
         raise DomainError("solve_price applies to the linear_demand family only")
-    intercept = tech.demand_base + tech.demand_quality * effort
-    if intercept <= 0:
-        return PriceSolution(price=None, revenue=0.0)
-    p = intercept / (2 * tech.demand_slope)
-    return PriceSolution(p, intercept * intercept / (4 * tech.demand_slope))
+    return PriceSolution(*reduced(tech, effort)[:2])
 
 
 def reduced(tech: RevenueTechnology,
@@ -63,12 +59,15 @@ def reduced(tech: RevenueTechnology,
     """(price, gross revenue, usage) at a given effort with the price
     optimized out. The one statement of reduced revenue and of the usage
     rule: requests are ``usage_per_revenue * R`` when that is set, else the
-    effort itself."""
-    if tech.family == LINEAR_DEMAND:
-        sol = solve_price(tech, effort)
-        price, gross = sol.price, sol.revenue
-    else:
+    effort itself. For linear demand the price is the vertex of
+    p*(a + b*e - d*p), none when a + b*e <= 0."""
+    if tech.family != LINEAR_DEMAND:
         price, gross = None, revenue(tech, effort)
+    elif (intercept := tech.demand_base + tech.demand_quality * effort) <= 0:
+        price, gross = None, 0.0
+    else:
+        price = intercept / (2 * tech.demand_slope)
+        gross = intercept * intercept / (4 * tech.demand_slope)
     if tech.usage_per_revenue is not None:
         return price, gross, tech.usage_per_revenue * gross
     return price, gross, effort
@@ -105,9 +104,9 @@ def closed_form(alpha, scale: float, beta: float, kappa: Optional[float],
     """(effort, gross revenue, usage, net profit) at flat rate alpha for
     R = A*e^beta, usage kappa*R (e if kappa is None) and phi = k*e^m/m; alpha
     a float, or a float64 row of rates with ``pw=participation.row_pow``. The
-    one statement of (1-alpha)*A*beta*e^(beta-1) = k*e^(m-1), agreeing bit
-    for bit with ``reduced`` and ``effort_cost``: e^2 is ``e * e``, other
-    powers ``pw``."""
+    one statement of the power-law closed forms, (1-alpha)*A*beta*e^(beta-1)
+    = k*e^(m-1), agreeing bit for bit with ``reduced`` and ``effort_cost``:
+    e^2 is ``e * e``, other powers ``pw``."""
     retained = 1.0 - alpha
     e = pw(retained * scale * beta / k, 1.0 / (m - beta))
     gross = scale * pw(e, beta)
@@ -139,8 +138,9 @@ def _package(profile: DeveloperProfile, alpha: float, e: float,
 
 def solve_effort(profile: DeveloperProfile, alpha: float,
                  force_numeric: bool = False) -> BestResponse:
-    """Best response to a flat commission rate alpha: ``closed_form`` where
-    the family pair has one (not linear_demand), else a golden-section search."""
+    """Best response to a flat commission rate alpha: ``closed_form`` for the
+    power-law families, e = (1-alpha)*a*b / (2dk - (1-alpha)*b^2) for linear
+    demand with quadratic cost and b^2 < 2dk, else a golden-section search."""
     require_rate(alpha)
     retained = 1.0 - alpha
     if retained == 0:
@@ -151,6 +151,11 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
         if not force_numeric and tech.family != LINEAR_DEMAND:
             e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
                             cost.k, cost.exponent)[0]
+            return _package(profile, alpha, e, ANALYTIC)
+        b, dk2 = tech.demand_quality, 2 * tech.demand_slope * cost.k
+        if not force_numeric and cost.exponent == 2 and b * b < dk2:
+            # (1-alpha)*(a + b*e)^2/(4d) - k*e^2/2 is concave at every alpha
+            e = retained * tech.demand_base * b / (dk2 - retained * b * b)
             return _package(profile, alpha, e, ANALYTIC)
 
         # past this effort the profit falls even when they keep everything

@@ -277,16 +277,20 @@ def _resolve_output(path: str) -> str:
 
 def _output_issues(path: str) -> List[str]:
     path = _resolve_output(path)
-    outdir = os.path.dirname(path) or "."
     if os.path.isdir(path):
         return [f"output path is a directory: {path}"]
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO, a device
+        return [f"output path is not a regular file: {path}"]
+    outdir = os.path.dirname(os.path.realpath(path))  # where _write_atomic writes
     return [] if os.path.isdir(outdir) else \
         [f"output directory does not exist: {outdir}"]
 
 
 def _write_atomic(path: str, text: str) -> None:
-    path = _resolve_output(path)
-    d = os.path.dirname(path) or "."
+    """Write text to a temp file beside the path a link resolves to, then
+    replace that path: a link is written through and stays a link."""
+    path = os.path.realpath(_resolve_output(path))
+    d = os.path.dirname(path)
     os.umask(umask := os.umask(0))  # os.umask reads the mask only by setting it
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".revshare-")
     try:

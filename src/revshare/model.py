@@ -9,6 +9,7 @@ every other type is a frozen dataclass, safe to share across workers.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -33,6 +34,13 @@ def require_finite_nonneg(name: str, value: float) -> None:
     """DomainError unless 0 <= value < inf; NaN fails too."""
     if not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and >= 0")
+
+
+def as_real(name: str, value) -> float:
+    """float(value) for a real number that is not a bool; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, not {type(value).__name__}")
+    return float(value)
 
 
 def require_rate(value: float, name: str = "rate") -> None:
@@ -199,7 +207,8 @@ class CommissionPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(
-            (float(t), float(r)) for t, r in self.breakpoints))
+            (as_real("degressive threshold", t), as_real("rate", r))
+            for t, r in self.breakpoints))
         bps = self.breakpoints
         if not bps or bps[0][0] != 0:
             raise DomainError("degressive schedule must start at threshold 0")
@@ -211,7 +220,9 @@ class CommissionPolicy:
             require_finite_nonneg("degressive threshold", t)
             require_rate(r)
         object.__setattr__(self, "ad_share", 0.0 if self.ad_share is None
-                           else float(self.ad_share))
+                           else as_real("ad_share", self.ad_share))
+        object.__setattr__(self, "activity_threshold", as_real(
+            "activity_threshold", self.activity_threshold))
         require_rate(self.ad_share, "ad_share")
         require_finite_nonneg("activity_threshold", self.activity_threshold)
 

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revshare.best_response import (
     NonConvergenceError,
+    PriceSolution,
     closed_form,
     foc_residual,
     reduced,
@@ -73,7 +76,7 @@ class TestSolveEffort:
         with pytest.raises(DomainError):
             solve_effort(canonical_profile, -0.1)
 
-    def test_linear_demand_numeric(self):
+    def test_linear_demand_matches_grid(self):
         # maximize (1-a) * (a0+b*e)^2/(4d) - k e^2/2; oracle by grid
         profile = DeveloperProfile(
             id="d",
@@ -82,7 +85,7 @@ class TestSolveEffort:
                                    usage_per_revenue=1.0),
             cost=EffortCost(k=1.0))
         br = solve_effort(profile, 0.4)
-        assert br.method == "numeric"
+        assert br.method == "analytic"  # b^2 = 1 < 2dk = 4
         assert br.price is not None
         e_grid, pi_grid = grid_best_effort(profile, 0.4, e_max=5.0)
         assert br.effort == pytest.approx(e_grid, abs=1e-5)
@@ -124,7 +127,7 @@ class TestSolveEffort:
                                    demand_quality=0.0, usage_per_revenue=1.0),
             cost=EffortCost(k=1.0))
         br = solve_effort(profile, 0.1)
-        assert (br.effort, br.net_profit, br.method) == (0.0, 0.0, "numeric")
+        assert (br.effort, br.net_profit, br.method) == (0.0, 0.0, "analytic")
 
     def test_numeric_matches_analytic(self):
         for profile in random_profiles(25, seed=7):
@@ -195,12 +198,12 @@ class TestResponder:
                 assert list(map(float.hex, row.tolist())) == \
                     list(map(float.hex, column))
 
-    def test_linear_demand_has_no_closed_form(self):
+    def test_linear_demand_power_convex_has_no_closed_form(self):
         profile = DeveloperProfile(
             id="d", tech=RevenueTechnology(
                 family="linear_demand", demand_base=1.0, demand_quality=0.5,
                 demand_slope=1.0, usage_per_revenue=1.0),
-            cost=EffortCost(k=1.0))
+            cost=EffortCost("power_convex", k=1.0, exponent=3.0))
         assert solve_effort(profile, 0.3).method == "numeric"
 
 
@@ -279,6 +282,52 @@ class TestSolvePrice:
     def test_wrong_family(self):
         with pytest.raises(DomainError):
             solve_price(RevenueTechnology(family="linear"), 1.0)
+
+
+class TestLinearDemandVertex:
+    @given(a=st.floats(0, 1e150), b=st.floats(0, 1e150),
+           d=st.floats(1e-150, 1e150), e=st.floats(0, 1e150))
+    @example(a=0.0, b=0.0, d=1.0, e=1.0)
+    @example(a=0.0, b=2.0, d=0.5, e=0.0)
+    @settings(max_examples=500)
+    def test_reduced_states_the_vertex_bit_for_bit(self, a, b, d, e):
+        # the expressions solve_price held before reduced stated them
+        tech = RevenueTechnology("linear_demand", demand_base=a, demand_quality=b,
+                                 demand_slope=d, usage_per_revenue=1.0)
+        price, gross, _ = reduced(tech, e)
+        intercept = a + b * e
+        if intercept <= 0:
+            assert (price, gross) == (None, 0.0)
+        else:
+            assert (price.hex(), gross.hex()) == (
+                (intercept / (2 * d)).hex(), (intercept * intercept / (4 * d)).hex())
+        assert repr(solve_price(tech, e)) == repr(PriceSolution(price, gross))
+
+    def test_quadratic_cost_closed_form_matches_the_search(self):
+        # u = b / sqrt(2dk) < 1 bends (1-alpha)(a + b*e)^2/(4d) - k*e^2/2 down
+        rng = np.random.default_rng(25)
+        for i in range(2400):
+            d, k = (float(x) for x in np.exp(rng.uniform(-2.3, 2.3, size=2)))
+            u = 0.0 if i % 100 == 0 else float(rng.uniform(0.0, 0.95))
+            a = 0.0 if i % 50 == 1 else float(rng.uniform(0.0, 3.0))
+            alpha = 0.0 if i % 40 == 2 else float(rng.uniform(0.0, 1.0))
+            b = u * math.sqrt(2 * d * k)
+            profile = DeveloperProfile(
+                id=f"d{i}", cost=EffortCost(k=k), tech=RevenueTechnology(
+                    "linear_demand", demand_base=a, demand_quality=b,
+                    demand_slope=d, usage_per_revenue=float(rng.uniform(0.0, 5.0))))
+            br = solve_effort(profile, alpha)
+            numeric = solve_effort(profile, alpha, force_numeric=True)
+            assert br.method == "analytic", i
+            assert br.net_profit >= numeric.net_profit - 1e-12 * abs(
+                numeric.net_profit), i
+            # the float profit is flat within sqrt(eps*|pi|/c) of its top,
+            # c = k - (1-alpha)*b^2/(2d), and the search may stop anywhere there
+            flat = 4 * math.sqrt(sys.float_info.epsilon * abs(numeric.net_profit)
+                                 / (k - (1 - alpha) * b * b / (2 * d)))
+            if numeric.effort > 0:
+                assert br.effort == pytest.approx(
+                    numeric.effort, rel=1e-4, abs=flat), i
 
 
 def fd_residual(profile, alpha, effort):
@@ -360,7 +409,7 @@ class TestDegressivePolicy:
         assert br.effort == pytest.approx(e[np.argmax(profit)], abs=1e-4)
 
     def test_linear_demand_beats_grid(self):
-        # each band's numeric best response and each band edge, where
+        # each band's best response and each band edge, where
         # (a + b*e)^2 / (4d) reaches the threshold, are the candidates;
         # b = 0 has no edge. b^2 < 2dk bends the quadratic-cost profit down
         rng = np.random.default_rng(7)
@@ -386,7 +435,8 @@ class TestDegressivePolicy:
             commission = first * np.minimum(r, threshold) + second * np.maximum(
                 r - threshold, 0.0)
             profit = r - commission - cost_grid(cost, e)
-            assert br.method == "numeric", i
+            if i % 2 == 0:  # power_convex; quadratic cost has a closed form
+                assert br.method == "numeric", i
             assert br.net_profit >= profit.max() - 1e-9, i
             kinks += br.gross_revenue == pytest.approx(threshold, abs=1e-12)
         assert kinks  # some optimum is a band edge, where the rate rises

@@ -67,6 +67,40 @@ class TestSolveCommand:
             stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_output_through_a_link(self, capsys, tmp_path, flag, existing):
+        link, target = tmp_path / "link.json", tmp_path / "target.json"
+        if existing:
+            target.write_text("an older file is replaced\n")
+        link.symlink_to(target.name)
+        plain = tmp_path / "plain.json"
+        for path in (link, plain):
+            assert run_cli(capsys, "solve", "--canonical", flag, str(path))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == plain.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.json", "plain.json", "target.json"]
+
+    def test_output_through_a_link_into_a_missing_directory(self, capsys, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "target.json")
+        status, out, err = run_cli(capsys, "solve", "--canonical", "--out", str(link))
+        assert (status, out) == (2, "")
+        missing = os.path.realpath(tmp_path / "missing")
+        assert err == f"error: output directory does not exist: {missing}\n"
+        assert link.is_symlink() and list(tmp_path.iterdir()) == [link]
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+    def test_output_onto_a_fifo_usage_error(self, capsys, tmp_path, flag):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        status, out, err = run_cli(capsys, "solve", "--canonical", flag, str(fifo))
+        assert (status, out) == (2, "")
+        assert err == f"error: output path is not a regular file: {fifo}\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
 
 class TestSettleCommand:
     def test_scenario_one_ledger(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -270,9 +271,24 @@ DEMAND = dict(family="linear_demand", usage_per_revenue=1.0)
     (lambda: revenue(RevenueTechnology(demand_base=1.0, **DEMAND), 1.0, 0.0),
      "price must be positive"),
     (lambda: marginal_effort_cost(EffortCost(), -1.0), "effort must be >= 0"),
+    (lambda: CommissionPolicy.degressive([("0", 0.3)]),
+     "degressive threshold must be a real number, not str"),
+    (lambda: CommissionPolicy.degressive([(0, "0.3")]),
+     "rate must be a real number, not str"),
+    (lambda: CommissionPolicy.flat(True), "rate must be a real number, not bool"),
+    (lambda: CommissionPolicy.flat(Decimal("0.3")),
+     "rate must be a real number, not Decimal"),
+    (lambda: CommissionPolicy.flat(0.3, ad_share="1"),
+     "ad_share must be a real number, not str"),
+    (lambda: CommissionPolicy.flat(0.3, ad_share=False),
+     "ad_share must be a real number, not bool"),
+    (lambda: CommissionPolicy.flat(0.3, activity_threshold="5"),
+     "activity_threshold must be a real number, not str"),
 ], ids=["scale", "demand-sign", "demand-slope", "demand-usage", "cost-family",
         "policy-no-bands", "commission-gross", "price",
-        "marginal-cost-effort"])
+        "marginal-cost-effort", "policy-threshold-str", "policy-rate-str",
+        "policy-rate-bool", "policy-rate-decimal", "policy-ad-share-str",
+        "policy-ad-share-bool", "policy-activity-str"])
 def test_rejection_message(make, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         make()
