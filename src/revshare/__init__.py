@@ -32,7 +32,6 @@ from .best_response import (
     foc_residual,
     solve_effort,
     solve_effort_policy,
-    solve_price,
 )
 from .participation import ParticipationResult, SweepResult, participate, sweep
 from .optimizer import (

@@ -40,20 +40,6 @@ class BestResponse:
     method: str
 
 
-@dataclass(frozen=True)
-class PriceSolution:
-    price: Optional[float]
-    revenue: float
-
-
-def solve_price(tech: RevenueTechnology, effort: float) -> PriceSolution:
-    """Profit-maximizing price at fixed effort for the linear demand family,
-    as ``reduced`` states it."""
-    if tech.family != LINEAR_DEMAND:
-        raise DomainError("solve_price applies to the linear_demand family only")
-    return PriceSolution(*reduced(tech, effort)[:2])
-
-
 def reduced(tech: RevenueTechnology,
             effort: float) -> Tuple[Optional[float], float, float]:
     """(price, gross revenue, usage) at a given effort with the price
@@ -140,7 +126,9 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
                  force_numeric: bool = False) -> BestResponse:
     """Best response to a flat commission rate alpha: ``closed_form`` for the
     power-law families, e = (1-alpha)*a*b / (2dk - (1-alpha)*b^2) for linear
-    demand with quadratic cost and b^2 < 2dk, else a golden-section search."""
+    demand with quadratic cost and (1-alpha)*b^2 < 2dk (NonConvergenceError
+    when that fails and the profit is unbounded), else a golden-section
+    search."""
     require_rate(alpha)
     retained = 1.0 - alpha
     if retained == 0:
@@ -152,10 +140,16 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
             e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
                             cost.k, cost.exponent)[0]
             return _package(profile, alpha, e, ANALYTIC)
-        b, dk2 = tech.demand_quality, 2 * tech.demand_slope * cost.k
-        if not force_numeric and cost.exponent == 2 and b * b < dk2:
-            # (1-alpha)*(a + b*e)^2/(4d) - k*e^2/2 is concave at every alpha
-            e = retained * tech.demand_base * b / (dk2 - retained * b * b)
+        b, a = tech.demand_quality, tech.demand_base
+        if not force_numeric and cost.exponent == 2:
+            # (1-alpha)*(a + b*e)^2/(4d) - k*e^2/2 is concave while slack > 0,
+            # zero everywhere when slack = a = 0, and unbounded otherwise
+            slack = 2 * tech.demand_slope * cost.k - retained * b * b
+            if slack < 0 or slack == 0 < a:
+                raise NonConvergenceError(
+                    f"developer {profile.id!r} at alpha {alpha}: the profit is "
+                    "unbounded, (1-alpha)*b^2 >= 2dk")
+            e = retained * a * b / slack if slack else 0.0
             return _package(profile, alpha, e, ANALYTIC)
 
         # past this effort the profit falls even when they keep everything
@@ -198,21 +192,31 @@ def solve_effort_policy(profile: DeveloperProfile,
 
     def profit(e: float) -> float:
         r = reduced(tech, e)[1]
-        return r - policy.commission(r) - effort_cost(cost, e)
+        try:
+            return r - policy.commission(r) - effort_cost(cost, e)
+        except OverflowError:  # a cost past the largest float loses to e = 0
+            return -math.inf
 
     candidates = [0.0]
     method = ANALYTIC
     bps = policy.breakpoints
     for i, (threshold, rate) in enumerate(bps):
         upper = bps[i + 1][0] if i + 1 < len(bps) else math.inf
-        br = solve_effort(profile, rate)
+        edge = _invert_revenue(tech, threshold)
+        if edge is not None:
+            candidates.append(edge)
+        try:
+            br = solve_effort(profile, rate)
+        except NonConvergenceError:
+            # a quadratic cost's unbounded profit is convex: a bounded band's
+            # edges hold its maximum
+            if upper == math.inf or cost.exponent != 2:
+                raise
+            continue
         if br.method == NUMERIC:
             method = NUMERIC
         if threshold <= br.gross_revenue < upper:
             candidates.append(br.effort)
-        edge = _invert_revenue(tech, threshold)
-        if edge is not None:
-            candidates.append(edge)
 
     best_e = min(candidates, key=lambda e: (-profit(e), e))
     marginal_alpha = policy.marginal_rate(reduced(tech, best_e)[1])

@@ -85,6 +85,18 @@ def fee_schedule(model) -> Tuple[CommissionPolicy, float, float, float]:
     raise DomainError(f"unknown business model {model!r}")
 
 
+def fee_policy(m: float, t: float, quota: float,
+               kappa: float) -> CommissionPolicy:
+    """The fee point (m, t, Q) on usage q = kappa*R as a commission schedule
+    on R: rate m up to Q/kappa, m + t*kappa past it. That rate is capped at 1,
+    where profit already falls with effort, so the argmax does not move."""
+    edge = quota / kappa if kappa else math.inf
+    if edge == math.inf:  # kappa = 0, or Q/kappa past the largest float
+        return CommissionPolicy.flat(m)
+    top = min(1.0, m + t * kappa)
+    return CommissionPolicy(((0.0, m), (edge, top)) if edge else ((0.0, top),))
+
+
 def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
                    capital: float = math.inf) -> ModelOutcome:
     """Developer and platform payoffs under one business model, with the
@@ -104,8 +116,12 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
             return ((1.0 - m) * r - t * (q - quota if q > quota else 0.0)
                     - effort_cost(cost, e))
 
-        hi = expand_upper_bound(objective)
-        e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+        kappa = tech.usage_per_revenue
+        if kappa is None:  # q = e: a fee on effort, searched
+            hi = expand_upper_bound(objective)
+            e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+        else:  # q = kappa*R: the fee is a rate m + t*kappa on R past Q/kappa
+            e = solve_effort_policy(profile, fee_policy(m, t, quota, kappa)).effort
         if objective(0.0) >= objective(e):
             e = 0.0  # minimal-effort tie-break
         _, r, q = reduced(tech, e)

@@ -16,7 +16,7 @@ SEARCH_CAP = 1e15
 
 
 class NonConvergenceError(DomainError):
-    """The inner search found no optimum below SEARCH_CAP."""
+    """An unbounded developer problem, or no optimum found below SEARCH_CAP."""
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,

@@ -9,13 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from revshare.best_response import (
     NonConvergenceError,
-    PriceSolution,
     closed_form,
     foc_residual,
     reduced,
     solve_effort,
     solve_effort_policy,
-    solve_price,
 )
 from revshare.comparator import compare_models
 from revshare.model import (
@@ -119,6 +117,32 @@ class TestSolveEffort:
             cost=EffortCost(k=1.0))
         with pytest.raises(NonConvergenceError):
             solve_effort(profile, 0.1)
+
+    def test_closed_form_at_the_given_rate(self):
+        # b^2 = 3 >= 2dk = 2, but (1-alpha)*b^2 = 1.5 < 2dk: before, the
+        # search was bounded by the unbounded profit at alpha = 0 and raised
+        profile = DeveloperProfile(
+            id="d", cost=EffortCost(k=1.0), tech=RevenueTechnology(
+                "linear_demand", demand_base=1.0, demand_quality=math.sqrt(3),
+                usage_per_revenue=1.0))
+        br = solve_effort(profile, 0.5)
+        assert br.method == "analytic"
+        assert br.effort == pytest.approx(1.7320508075688772, rel=1e-14)
+        with pytest.raises(NonConvergenceError, match=re.escape(
+                "developer 'd' at alpha 0.25: the profit is unbounded")):
+            solve_effort(profile, 0.25)  # (1-alpha)*b^2 = 2.25
+
+    def test_unbounded_from_the_parameters_alone(self):
+        # (1-alpha)*b^2 = 2dk exactly: the profit is (1-alpha)*a*b*e/(2d)
+        # plus a constant, flat when a = 0 and rising without bound otherwise
+        def profile(base):
+            return DeveloperProfile(
+                id="d", cost=EffortCost(k=1.0), tech=RevenueTechnology(
+                    "linear_demand", demand_base=base, demand_quality=2.0,
+                    usage_per_revenue=1.0))
+        assert solve_effort(profile(0.0), 0.5).effort == 0.0
+        with pytest.raises(NonConvergenceError, match="unbounded"):
+            solve_effort(profile(1.0), 0.5)
 
     def test_no_demand_zero_effort(self):
         profile = DeveloperProfile(
@@ -251,37 +275,38 @@ class TestOnePowerLaw:
 
 
 class TestSolvePrice:
+    """The profit-maximizing price that ``reduced`` solves out at a fixed
+    effort."""
+
     def test_vertex(self):
         tech = RevenueTechnology(family="linear_demand", demand_base=10,
                                  demand_quality=0, demand_slope=1,
                                  usage_per_revenue=1.0)
-        sol = solve_price(tech, 3.0)
-        assert sol.price == pytest.approx(5.0, abs=1e-9)
-        assert sol.revenue == pytest.approx(25.0, abs=1e-9)
+        price, gross, _ = reduced(tech, 3.0)
+        assert price == pytest.approx(5.0, abs=1e-9)
+        assert gross == pytest.approx(25.0, abs=1e-9)
 
     def test_grid_oracle(self):
         tech = RevenueTechnology(family="linear_demand", demand_base=10,
                                  demand_quality=2, demand_slope=1,
                                  usage_per_revenue=1.0)
-        sol = solve_price(tech, 1.0)
-        assert sol.price == pytest.approx(6.0, abs=1e-9)
-        assert sol.revenue == pytest.approx(36.0, abs=1e-9)
+        price, gross, _ = reduced(tech, 1.0)
+        assert price == pytest.approx(6.0, abs=1e-9)
+        assert gross == pytest.approx(36.0, abs=1e-9)
         p = np.arange(1e-5, 15.0, 1e-5)
         rev = p * np.maximum(0.0, 12.0 - p)
-        assert sol.revenue >= rev.max() - 1e-6
-        assert sol.price == pytest.approx(p[np.argmax(rev)], abs=1e-4)
+        assert gross >= rev.max() - 1e-6
+        assert price == pytest.approx(p[np.argmax(rev)], abs=1e-4)
 
     def test_zero_demand(self):
         tech = RevenueTechnology(family="linear_demand", demand_base=0,
                                  demand_quality=0, demand_slope=1,
                                  usage_per_revenue=1.0)
-        sol = solve_price(tech, 2.0)
-        assert sol.price is None
-        assert sol.revenue == 0.0
+        assert reduced(tech, 2.0) == (None, 0.0, 0.0)
 
     def test_wrong_family(self):
-        with pytest.raises(DomainError):
-            solve_price(RevenueTechnology(family="linear"), 1.0)
+        # the effort families post no price
+        assert reduced(RevenueTechnology(family="linear"), 1.0) == (None, 1.0, 1.0)
 
 
 class TestLinearDemandVertex:
@@ -291,7 +316,7 @@ class TestLinearDemandVertex:
     @example(a=0.0, b=2.0, d=0.5, e=0.0)
     @settings(max_examples=500)
     def test_reduced_states_the_vertex_bit_for_bit(self, a, b, d, e):
-        # the expressions solve_price held before reduced stated them
+        # the vertex of p*(a + b*e - d*p), as written out here
         tech = RevenueTechnology("linear_demand", demand_base=a, demand_quality=b,
                                  demand_slope=d, usage_per_revenue=1.0)
         price, gross, _ = reduced(tech, e)
@@ -301,7 +326,6 @@ class TestLinearDemandVertex:
         else:
             assert (price.hex(), gross.hex()) == (
                 (intercept / (2 * d)).hex(), (intercept * intercept / (4 * d)).hex())
-        assert repr(solve_price(tech, e)) == repr(PriceSolution(price, gross))
 
     def test_quadratic_cost_closed_form_matches_the_search(self):
         # u = b / sqrt(2dk) < 1 bends (1-alpha)(a + b*e)^2/(4d) - k*e^2/2 down
@@ -442,6 +466,23 @@ class TestDegressivePolicy:
         assert kinks  # some optimum is a band edge, where the rate rises
 
 
+    def test_unbounded_band_below_an_edge_adds_no_candidate(self):
+        # at rate 0.1, 0.9*b^2 = 3.6 >= 2dk = 2: the first band's profit is
+        # convex, so its edges hold its maximum; the second band is bounded.
+        # Before, the first band's search raised NonConvergenceError
+        profile = DeveloperProfile(
+            id="d", cost=EffortCost(k=1.0), tech=RevenueTechnology(
+                "linear_demand", demand_base=0.5, demand_quality=2.0,
+                usage_per_revenue=1.0))
+        br = solve_effort_policy(profile, CommissionPolicy.degressive(
+            [(0, 0.1), (1, 0.9)]))
+        assert (br.effort, br.gross_revenue) == (0.75, 1.0)
+        assert br.net_profit == 0.9 - 0.75 ** 2 / 2
+        with pytest.raises(NonConvergenceError):  # the last band is unbounded
+            solve_effort_policy(profile, CommissionPolicy.degressive(
+                [(0, 0.9), (1, 0.1)]))
+
+
 class TestOverflowingBestResponse:
     """A best response whose net profit is not a finite float is a
     DomainError naming the developer and the rate, on every path to it."""
@@ -518,6 +559,20 @@ class TestUnreachableBandEdge:
         assert br.effort == 1.3458571572631797e-06
         row = compare_models(profile, [RsiModel(policy=policy)], 0.0).rows[0]
         assert row.effort == lower.effort
+
+
+    @pytest.mark.parametrize("tech", [
+        RevenueTechnology("linear"),
+        RevenueTechnology("linear_demand", demand_base=0.5, demand_quality=0.5,
+                          usage_per_revenue=1.0)], ids=["linear", "linear_demand"])
+    def test_band_edge_whose_cost_overflows_is_no_candidate(self, tech):
+        # the 1e300 edge costs about 1e900 (linear) or 1e450 (linear demand)
+        # under a cubic cost; before, a bare OverflowError from **
+        profile = DeveloperProfile(id="d", tech=tech, cost=EffortCost(
+            "power_convex", k=1.0, exponent=3.0))
+        br = solve_effort_policy(profile, CommissionPolicy.degressive(
+            [(0, 0.3), (1e300, 0.2)]))
+        assert br.effort == solve_effort(profile, 0.3).effort > 0
 
 
 @pytest.mark.parametrize("call,message", [

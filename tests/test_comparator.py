@@ -4,10 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from revshare.best_response import NonConvergenceError
-from revshare.comparator import capital_frontier, compare_models, evaluate_model
+from revshare.best_response import NonConvergenceError, reduced
+from revshare.comparator import (capital_frontier, compare_models, evaluate_model,
+                                 fee_policy, fee_schedule)
 from revshare.model import (
     CommissionPolicy,
     DeveloperProfile,
@@ -22,6 +23,7 @@ from revshare.model import (
     effort_cost,
 )
 from revshare.montecarlo import PopulationSpec, generate_population
+from revshare.numeric import expand_upper_bound, grid_then_golden
 from revshare.participation import participate
 
 from conftest import random_profiles
@@ -157,6 +159,119 @@ class TestFeeRowSearch:
             cost=EffortCost(k=1.0))
         with pytest.raises(NonConvergenceError):
             evaluate_model(profile, model, platform_cost=0.0)
+
+
+def fee_terms(profile, model, e):
+    """The fee row's developer objective at effort e, written out from the
+    fee point, and the largest of its terms, the scale of its rounding."""
+    policy, t, quota, _ = fee_schedule(model)
+    _, r, q = reduced(profile.tech, e)
+    upfront, phi = t * (q - quota if q > quota else 0.0), effort_cost(profile.cost, e)
+    return (1.0 - policy.rate) * r - upfront - phi, max(r, upfront, phi)
+
+
+def searched_effort(profile, model):
+    """The fee row's effort by a bounded grid-then-golden search: the
+    reference for the rows solved as commission schedules."""
+    def objective(e):
+        return fee_terms(profile, model, e)[0]
+
+    hi = expand_upper_bound(objective)
+    e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+    return 0.0 if objective(0.0) >= objective(e) else e
+
+
+def usage_linked(family, cost_family, kappa, a=0.5, u=0.5, d=1.0, k=1.0,
+                 scale=1.0, beta=0.5, exponent=3.0):
+    """A developer whose usage is kappa * R; linear demand draws its quality
+    as b = u * sqrt(2dk), so u > 1 makes the untaxed profit unbounded under a
+    quadratic cost."""
+    tech = (RevenueTechnology("linear_demand", demand_base=a, demand_slope=d,
+                              demand_quality=u * math.sqrt(2 * d * k),
+                              usage_per_revenue=kappa)
+            if family == "linear_demand" else
+            RevenueTechnology(family, scale=scale, usage_per_revenue=kappa,
+                              beta=beta if family == "power" else 1.0))
+    return DeveloperProfile(id="d", tech=tech, cost=EffortCost(
+        cost_family, k=k, exponent=exponent if cost_family == "power_convex" else 2.0))
+
+
+prices = st.floats(1e-3, 2.0)
+usage_linked_models = st.one_of(
+    st.builds(PayPerTokenModel, token_price=prices),
+    st.builds(FreemiumModel, free_quota=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+              overage_price=prices),
+    st.builds(MarketplaceModel, commission=st.floats(0.0, 1.0), token_price=prices),
+)
+
+
+class TestUsageLinkedFeeRows:
+    """With usage q = kappa * R, a fee row is the commission schedule
+    ``fee_policy`` on R, solved by ``solve_effort_policy``."""
+
+    @pytest.mark.parametrize("args,bands", [
+        ((0.15, 0.1, 0.5, 2.0), ((0.0, 0.15), (0.25, 0.35))),
+        ((0.15, 0.1, 0.0, 2.0), ((0.0, 0.35),)),  # no quota
+        ((0.15, 0.1, 0.5, 0.0), ((0.0, 0.15),)),  # no usage
+        ((0.15, 0.1, 1e10, 1e-300), ((0.0, 0.15),)),  # a quota past any float
+        ((0.5, 2.0, 0.5, 1.0), ((0.0, 0.5), (0.5, 1.0))),  # m + t*kappa > 1
+    ])
+    def test_fee_policy(self, args, bands):
+        assert fee_policy(*args) == CommissionPolicy(bands)
+
+    @pytest.mark.parametrize("model,effort", [
+        (PayPerTokenModel(token_price=0.6), 1.0),  # rate 0.6, 0.4*b^2 < 2dk
+        (FreemiumModel(free_quota=1.0, overage_price=0.9), 0.75),  # the edge
+    ])
+    def test_unbounded_when_untaxed(self, model, effort):
+        # b^2 = 4 >= 2dk = 2: only the fee bounds the profit
+        profile = usage_linked("linear_demand", "quadratic", 1.0, u=math.sqrt(2))
+        out = evaluate_model(profile, model, platform_cost=0.0)
+        assert out.effort == pytest.approx(effort, rel=1e-15)
+
+    @given(model=usage_linked_models,
+           family=st.sampled_from(["linear", "power", "linear_demand"]),
+           cost_family=st.sampled_from(["quadratic", "power_convex"]),
+           kappa=st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-3, 5.0)),
+           a=st.floats(0.0, 2.0), u=st.floats(0.0, 2.0), d=st.floats(0.2, 3.0),
+           k=st.floats(0.2, 3.0), scale=st.floats(0.1, 3.0),
+           beta=st.floats(0.3, 1.0), exponent=st.floats(2.5, 4.0))
+    @example(model=FreemiumModel(free_quota=1.0, overage_price=0.9),
+             family="linear_demand", cost_family="quadratic", kappa=1.0, a=0.5,
+             u=math.sqrt(2), d=1.0, k=1.0, scale=1.0, beta=1.0, exponent=3.0)
+    @example(model=MarketplaceModel(commission=0.5, token_price=2.0),
+             family="linear", cost_family="power_convex", kappa=1.0, a=0.0,
+             u=0.0, d=1.0, k=1.0, scale=1.0, beta=1.0, exponent=3.0)
+    @example(model=FreemiumModel(free_quota=0.5, overage_price=0.1),
+             family="linear", cost_family="power_convex", kappa=1e-300, a=0.0,
+             u=0.0, d=1.0, k=1.0, scale=1.0, beta=1.0, exponent=3.0)
+    @example(model=PayPerTokenModel(token_price=0.1), family="power",
+             cost_family="quadratic", kappa=0.0, a=0.0, u=0.0, d=1.0, k=1.0,
+             scale=1.0, beta=0.5, exponent=3.0)
+    @settings(max_examples=300, deadline=None)
+    def test_no_worse_than_the_search(self, model, family, cost_family, kappa,
+                                      a, u, d, k, scale, beta, exponent):
+        policy, t, quota, _ = fee_schedule(model)
+        if family == "linear_demand" and cost_family == "quadratic":
+            # the top band's rate must bound the profit, with a margin
+            assume((1 - min(1.0, policy.rate + t * kappa)) * u * u < 0.99)
+        profile = usage_linked(family, cost_family, kappa, a, u, d, k, scale,
+                               beta, exponent)
+        out = evaluate_model(profile, model, platform_cost=0.1)
+        _, r, q = reduced(profile.tech, out.effort)
+        assert (out.gross_revenue, out.usage) == (r, q)
+        assert out.upfront_cost == t * (q - quota if q > quota else 0.0)
+        got, got_size = fee_terms(profile, model, out.effort)
+        assert out.developer_profit == got
+        # relative to the terms: with m + t*kappa near 1 the objective is a
+        # few of their ulps, and a search may land on a rounding bump
+        ref_effort = searched_effort(profile, model)
+        ref, ref_size = fee_terms(profile, model, ref_effort)
+        if got < ref - 1e-12 * max(got_size, ref_size):
+            # a power_convex cost leaves linear demand's bands searched too:
+            # two golden-section searches, each to about 2e-12 in effort
+            assert (family, cost_family) == ("linear_demand", "power_convex")
+            assert out.effort == pytest.approx(ref_effort, rel=1e-9, abs=1e-9)
 
 
 class TestAccountingIdentity:
