@@ -12,6 +12,7 @@ Monte Carlo population sweeps.
 __version__ = "0.1.0"
 
 from .model import (
+    BusinessModel,
     CommissionPolicy,
     DeveloperProfile,
     DomainError,

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
@@ -288,14 +287,13 @@ def _output_issues(path: str) -> List[str]:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a temp file beside the path a link resolves to, then
-    replace that path: a link is written through and stays a link."""
+    replace that path: a link is written through and stays a link. The temp
+    file gets open()'s mode, 0666 less the umask, which the kernel applies."""
     path = os.path.realpath(_resolve_output(path))
-    d = os.path.dirname(path)
-    os.umask(umask := os.umask(0))  # os.umask reads the mask only by setting it
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".revshare-")
+    tmp = os.path.join(os.path.dirname(path), f".revshare-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,7 +2,9 @@
 developer re-optimizing effort under each fee structure.
 
 Each model is a fee point (m, t, Q, F): commission policy m on app revenue
-R, price t per request above a free quota Q, lump fee F. The developer
+R, price t per request above a free quota Q, lump fee F, held as the fields
+``policy``, ``price``, ``quota`` and ``fee`` of one ``model.BusinessModel``
+record, which each model's constructor fills in as below. The developer
 maximizes R - m(R) - t*max(0, q-Q) - phi(e) - F, pays the upfront cost
 t*max(0, q-Q) + F, and the platform earns m(R) + upfront - c*q.
 
@@ -32,22 +34,18 @@ from typing import Optional, Sequence, Tuple
 
 from .best_response import reduced, solve_effort_policy
 from .model import (
+    MODEL_ORDER,
+    BusinessModel,
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
-    FreemiumModel,
-    MarketplaceModel,
     PayPerTokenModel,
     RsiModel,
-    SubscriptionModel,
     effort_cost,
     require_finite_nonneg,
 )
 from .numeric import expand_upper_bound, grid_then_golden
-from .participation import _UNSHARED, developer_profit, entrant_profit
-
-MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium",
-               "marketplace")
+from .participation import developer_profit, entrant_profit
 
 
 @dataclass(frozen=True)
@@ -69,22 +67,6 @@ class ComparisonTable:
     preferred_by_platform: Optional[str]
 
 
-def fee_schedule(model) -> Tuple[CommissionPolicy, float, float, float]:
-    """A business model as the fee point (m, t, Q, F): commission policy m
-    on app revenue, price t per request above a free quota Q, lump fee F."""
-    if isinstance(model, RsiModel):
-        return model.policy, 0.0, 0.0, 0.0
-    if isinstance(model, PayPerTokenModel):
-        return _UNSHARED, model.token_price, 0.0, 0.0
-    if isinstance(model, SubscriptionModel):
-        return _UNSHARED, 0.0, 0.0, model.fee
-    if isinstance(model, FreemiumModel):
-        return _UNSHARED, model.overage_price, model.free_quota, 0.0
-    if isinstance(model, MarketplaceModel):
-        return CommissionPolicy.flat(model.commission), model.token_price, 0.0, 0.0
-    raise DomainError(f"unknown business model {model!r}")
-
-
 def fee_policy(m: float, t: float, quota: float,
                kappa: float) -> CommissionPolicy:
     """The fee point (m, t, Q) on usage q = kappa*R as a commission schedule
@@ -97,18 +79,20 @@ def fee_policy(m: float, t: float, quota: float,
     return CommissionPolicy(((0.0, m), (edge, top)) if edge else ((0.0, top),))
 
 
-def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
-                   capital: float = math.inf) -> ModelOutcome:
+def evaluate_model(profile: DeveloperProfile, model: BusinessModel,
+                   platform_cost: float, capital: float = math.inf) -> ModelOutcome:
     """Developer and platform payoffs under one business model, with the
     developer's effort re-optimized for that model's fee structure."""
     require_finite_nonneg("platform_cost", platform_cost)
     if not capital >= 0:  # NaN fails too
         raise DomainError("capital must be >= 0")
-    policy, t, quota, lump = fee_schedule(model)
+    if not isinstance(model, BusinessModel):
+        raise DomainError(f"unknown business model {model!r}")
+    policy, t, quota, lump = model.policy, model.price, model.quota, model.fee
     if t == 0.0:  # no per-request charge: the revenue-sharing problem
         br = solve_effort_policy(profile, policy)
-        e, r, q, net = br.effort, br.gross_revenue, br.usage, br.net_profit - lump
-    else:  # t > 0 only on flat policies with no lump fee
+        e, r, q, net = br.effort, br.gross_revenue, br.usage, br.net_profit
+    else:  # t > 0 only on flat policies
         m, tech, cost = policy.rate, profile.tech, profile.cost
 
         def objective(e):
@@ -127,7 +111,7 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
         _, r, q = reduced(tech, e)
         net = objective(e)
     upfront = t * (q - quota if q > quota else 0.0) + lump
-    dev = developer_profit(profile.ad_revenue, net, policy)
+    dev = developer_profit(profile.ad_revenue, net - lump, policy)
     platform = entrant_profit(profile.ad_revenue, r, q, policy, platform_cost) + upfront
     feasible = upfront <= capital + 1e-9  # absorb numeric-optimizer noise
     return ModelOutcome(model=model.tag, developer_profit=dev,
@@ -136,22 +120,19 @@ def evaluate_model(profile: DeveloperProfile, model, platform_cost: float,
                         entered=feasible and dev >= profile.reservation_profit)
 
 
-def compare_models(profile: DeveloperProfile, models: Sequence,
-                   platform_cost: float,
-                   capital: float = math.inf) -> ComparisonTable:
+def compare_models(profile: DeveloperProfile, models: Sequence[BusinessModel],
+                   platform_cost: float, capital: float = math.inf) -> ComparisonTable:
     """Evaluate every model and pick each side's preferred one among the
     entered rows (ties break by the fixed model order, revenue sharing
-    first)."""
+    first: the rows are in that order and ``max`` keeps the first)."""
     outcomes = [evaluate_model(profile, m, platform_cost, capital)
                 for m in models]
     outcomes.sort(key=lambda o: MODEL_ORDER.index(o.model))
     entered = [o for o in outcomes if o.entered]
     dev_pick = plat_pick = None
     if entered:
-        dev_pick = max(entered, key=lambda o: (o.developer_profit,
-                                               -MODEL_ORDER.index(o.model))).model
-        plat_pick = max(entered, key=lambda o: (o.platform_profit,
-                                                -MODEL_ORDER.index(o.model))).model
+        dev_pick = max(entered, key=lambda o: o.developer_profit).model
+        plat_pick = max(entered, key=lambda o: o.platform_profit).model
     return ComparisonTable(rows=tuple(outcomes),
                            preferred_by_developer=dev_pick,
                            preferred_by_platform=plat_pick)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 # Revenue families
@@ -268,58 +268,65 @@ class CommissionPolicy:
         return total
 
 
+_UNSHARED = CommissionPolicy.flat(0.0)  # no ad share or threshold; rate unread
+
+
 # --- Business models (section 5 comparison set) ---
 
-@dataclass(frozen=True)
-class RsiModel:
-    """Revenue sharing: free infrastructure, commission on app revenue."""
-    tag = "rsi"
-    policy: CommissionPolicy = field(
-        default_factory=lambda: CommissionPolicy.flat(0.25))
+MODEL_ORDER = ("rsi", "pay_per_token", "subscription", "freemium", "marketplace")
 
 
 @dataclass(frozen=True)
-class PayPerTokenModel:
-    """Developer pays the platform per request, keeps all app revenue."""
-    tag = "pay_per_token"
-    token_price: float = 0.0
+class BusinessModel:
+    """A business model as its fee point (m, t, Q, F): commission policy m
+    on app revenue, price t per request above a free quota Q, lump fee F.
+    ``tag`` is one of ``MODEL_ORDER``; a price goes with a flat policy."""
 
-    def __post_init__(self):
-        require_finite_nonneg("token_price", self.token_price)
-
-
-@dataclass(frozen=True)
-class SubscriptionModel:
-    """Flat periodic platform fee, unlimited usage."""
-    tag = "subscription"
+    tag: str
+    policy: CommissionPolicy = _UNSHARED
+    price: float = 0.0
+    quota: float = 0.0
     fee: float = 0.0
 
     def __post_init__(self):
-        require_finite_nonneg("fee", self.fee)
+        if self.tag not in MODEL_ORDER:
+            raise DomainError(f"unknown business model tag {self.tag!r}")
+        for name in ("price", "quota", "fee"):
+            require_finite_nonneg(name, getattr(self, name))
+        if self.price and not self.policy.is_flat:
+            raise DomainError("a per-request price needs a flat commission policy")
 
 
-@dataclass(frozen=True)
-class FreemiumModel:
+def RsiModel(policy: CommissionPolicy = CommissionPolicy.flat(0.25)) -> BusinessModel:
+    """Revenue sharing: free infrastructure, commission on app revenue."""
+    return BusinessModel("rsi", policy)
+
+
+def PayPerTokenModel(token_price: float = 0.0) -> BusinessModel:
+    """Developer pays the platform per request, keeps all app revenue."""
+    require_finite_nonneg("token_price", token_price)
+    return BusinessModel("pay_per_token", price=token_price)
+
+
+def SubscriptionModel(fee: float = 0.0) -> BusinessModel:
+    """Flat periodic platform fee, unlimited usage."""
+    require_finite_nonneg("fee", fee)
+    return BusinessModel("subscription", fee=fee)
+
+
+def FreemiumModel(free_quota: float = 0.0, overage_price: float = 0.0) -> BusinessModel:
     """Free request quota, per-request overage price beyond it."""
-    tag = "freemium"
-    free_quota: float = 0.0
-    overage_price: float = 0.0
-
-    def __post_init__(self):
-        require_finite_nonneg("free_quota", self.free_quota)
-        require_finite_nonneg("overage_price", self.overage_price)
+    require_finite_nonneg("free_quota", free_quota)
+    require_finite_nonneg("overage_price", overage_price)
+    return BusinessModel("freemium", price=overage_price, quota=free_quota)
 
 
-@dataclass(frozen=True)
-class MarketplaceModel:
+def MarketplaceModel(commission: float = 0.0, token_price: float = 0.0) -> BusinessModel:
     """Store-style commission on revenue; developer also pays own inference."""
-    tag = "marketplace"
-    commission: float = 0.0
-    token_price: float = 0.0
-
-    def __post_init__(self):
-        require_rate(self.commission, "marketplace commission")
-        require_finite_nonneg("token_price", self.token_price)
+    require_rate(commission, "marketplace commission")
+    require_finite_nonneg("token_price", token_price)
+    return BusinessModel("marketplace", CommissionPolicy.flat(commission),
+                         price=token_price)
 
 
 # --- Pointwise evaluation ---

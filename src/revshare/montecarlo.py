@@ -16,9 +16,10 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only when a function needs it
+    import numpy as np
 
 from .model import (
     DeveloperProfile,
@@ -26,10 +27,11 @@ from .model import (
     LINEAR_EFFORT,
     POWER_EFFORT,
     Population,
+    _UNSHARED,
     require_finite_nonneg,
     require_rate,
 )
-from .participation import MAX_POOL_CELLS, _UNSHARED, entrant_profit, participate
+from .participation import MAX_POOL_CELLS, entrant_profit, participate
 from .participation import SweepResult, sweep  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
@@ -102,6 +104,7 @@ def _substream_doubles(seed: int, size: int) -> np.ndarray:
     """Row i: the first ``_ROW`` doubles of ``default_rng(SeedSequence(seed)
     .spawn(size)[i])``, for every i at once. Child i's pool is the parent's
     with key i mixed in; PCG64 steps in uint64 arrays, which wrap silently."""
+    import numpy as np
     words = max(1, -(-int(seed).bit_length() // 32))  # uint32 words of seed
     # the parent's mixing made 16 hashmix calls, plus 4 per word past 4
     hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
@@ -149,12 +152,14 @@ def _draw_positive(dist: Distribution, rng, lo=0.0, hi=math.inf,
 
 def _uniform(dist: Distribution, u: np.ndarray) -> np.ndarray:
     """NumPy's uniform draw at each double of u; NaN for a lognormal."""
+    import numpy as np
     return dist.a + (dist.b - dist.a) * u if dist.kind == UNIFORM else u * np.nan
 
 
 def generate_population(spec: PopulationSpec) -> Population:
     """Deterministic heterogeneous population from a seeded spec: one NumPy
     pass, then each row that rejects a draw or draws a lognormal redrawn."""
+    import numpy as np
     rows = _substream_doubles(spec.seed, spec.size)
     names = [fam for fam, _ in spec.family_mix]
     pick = np.minimum(np.searchsorted(list(accumulate(
@@ -222,6 +227,7 @@ def risk_pooling_report(population: Sequence[DeveloperProfile], alpha: float,
     """Monte Carlo of independent per-developer revenue realization: each
     entrant's revenue lands with probability s (serving cost is sunk either
     way). Dispersion relative to the mean shrinks as the pool grows."""
+    import numpy as np
     require_rate(success_prob, "success_prob")
     if draws < 1:
         raise DomainError("draws must be >= 1")

@@ -15,14 +15,15 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only when a function needs it
+    import numpy as np
 
 from .best_response import BestResponse, closed_form, solve_effort
-from .model import (LINEAR_DEMAND, CommissionPolicy, DeveloperProfile,
-                    DomainError, Population, require_finite_nonneg,
-                    require_rate)
+from .model import (_UNSHARED, LINEAR_DEMAND, CommissionPolicy,
+                    DeveloperProfile, DomainError, Population,
+                    require_finite_nonneg, require_rate)
 
 # developer x rate (or x draw) cells above which a grid or a pool is refused:
 # about 9 bytes a cell in a pool's hit matrix, so about 90 MB
@@ -61,9 +62,6 @@ def entrant_profit(ad_revenue: float, gross: float, usage: float,
                   else alpha * gross) * charged  # times False is +0.0
     return (commission + policy.ad_share * ad_revenue
             - marginal_cost * usage)
-
-
-_UNSHARED = CommissionPolicy.flat(0.0)  # no ad share or threshold; rate unread
 
 
 def _checked(population: Sequence[DeveloperProfile], alpha: float,
@@ -123,7 +121,10 @@ def row_pow(row: np.ndarray, y: float) -> np.ndarray:
     """``x ** y`` for each x of a float64 row by Python's own pow (libm), bit
     for bit as the scalar path, where numpy's general power is not. Squares
     never come here: both paths write them as ``e * e``."""
-    return row if y == 1 else np.array([x ** y for x in row.tolist()])
+    if y == 1:
+        return row
+    import numpy as np
+    return np.array([x ** y for x in row.tolist()])
 
 
 def rate_grid(lo: float, hi: float, step: float) -> List[float]:
@@ -173,6 +174,7 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
     numpy alone for linear revenue and quadratic cost; ``solve_effort`` per
     rate for linear_demand) whose entrant cells are added to the per-rate
     totals in developer-id order, as ``participate`` adds them."""
+    import numpy as np
     if any(a2 < a1 for a1, a2 in zip(alpha_grid, alpha_grid[1:])):
         raise DomainError("alpha grid must be sorted ascending")
     require_finite_nonneg("marginal_cost", marginal_cost)

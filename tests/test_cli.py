@@ -5,11 +5,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import revshare
 from revshare.cli import (
     SCHEMAS,
     ExperimentConfig,
@@ -31,6 +34,26 @@ def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def test_commands_without_numpy_never_load_it():
+    """Importing the CLI and running settle, scenario, compare and validate
+    leaves numpy unloaded, so those commands do not pay for its import."""
+    code = f"""if True:
+        import contextlib, io, sys
+        from revshare.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["settle", "--ledger", {str(CONFIGS / "sample_ledger.csv")!r}],
+                         ["scenario", "--number", "3"], ["compare"],
+                         ["validate", {str(CONFIGS / "sweep.ini")!r}]):
+                assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """
+    src = os.path.dirname(os.path.dirname(revshare.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSolveCommand:
@@ -66,6 +89,26 @@ class TestSolveCommand:
         assert stat.S_IMODE(out_path.stat().st_mode) == \
             stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
+
+    def test_output_write_leaves_the_umask_alone(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # setting the umask, even to read it, would give a file another
+        # thread creates meanwhile mode 0666
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        out_path = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", no_umask)
+            status, _, _ = run_cli(capsys, "solve", "--canonical", "--out",
+                                   str(out_path))
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        assert status == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~0o027
+        assert list(tmp_path.iterdir()) == [out_path]
 
     @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
     @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from revshare.best_response import NonConvergenceError, reduced
 from revshare.comparator import (capital_frontier, compare_models, evaluate_model,
-                                 fee_policy, fee_schedule)
+                                 fee_policy)
 from revshare.model import (
+    BusinessModel,
     CommissionPolicy,
     DeveloperProfile,
     DomainError,
@@ -29,6 +30,52 @@ from revshare.participation import participate
 from conftest import random_profiles
 
 RSI60 = RsiModel(policy=CommissionPolicy.flat(0.6))
+
+
+FLAT0 = CommissionPolicy.flat(0.0)
+DEGRESSIVE = CommissionPolicy.degressive([(0.0, 0.3), (1.0, 0.1)], ad_share=0.2)
+
+
+class TestBusinessModel:
+    """Each constructor fills in its row of the fee-point table in the
+    comparator's docstring, with distinct values so no two fields swap."""
+
+    @pytest.mark.parametrize("model,row", [
+        (RsiModel(), ("rsi", CommissionPolicy.flat(0.25), 0.0, 0.0, 0.0)),
+        (RsiModel(policy=DEGRESSIVE), ("rsi", DEGRESSIVE, 0.0, 0.0, 0.0)),
+        (PayPerTokenModel(token_price=0.2), ("pay_per_token", FLAT0, 0.2, 0.0, 0.0)),
+        (SubscriptionModel(fee=0.1), ("subscription", FLAT0, 0.0, 0.0, 0.1)),
+        (FreemiumModel(free_quota=0.5, overage_price=0.3),
+         ("freemium", FLAT0, 0.3, 0.5, 0.0)),
+        (MarketplaceModel(commission=0.15, token_price=0.2),
+         ("marketplace", CommissionPolicy.flat(0.15), 0.2, 0.0, 0.0)),
+    ])
+    def test_constructor_fills_its_row(self, model, row):
+        assert (model.tag, model.policy, model.price, model.quota, model.fee) == row
+        assert model == BusinessModel(*row)
+
+    @pytest.mark.parametrize("args,message", [
+        (("auction",), "unknown business model tag 'auction'"),
+        (("pay_per_token", FLAT0, -0.1), "price must be finite and >= 0"),
+        (("freemium", FLAT0, 0.1, math.inf), "quota must be finite and >= 0"),
+        (("subscription", FLAT0, 0.0, 0.0, math.nan), "fee must be finite and >= 0"),
+        (("marketplace", DEGRESSIVE, 0.1),
+         "a per-request price needs a flat commission policy"),
+    ])
+    def test_record_outside_its_domain(self, args, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            BusinessModel(*args)
+
+    def test_lump_fee_beside_a_price(self, canonical_profile):
+        # pay-per-token at 0.2 plus a lump fee of 0.1: the same effort, the
+        # fee paid upfront and moved from the developer to the platform
+        ppt = evaluate_model(canonical_profile, PayPerTokenModel(0.2), 0.0)
+        out = evaluate_model(canonical_profile,
+                             BusinessModel("pay_per_token", price=0.2, fee=0.1), 0.0)
+        assert out.effort == ppt.effort
+        assert out.upfront_cost == ppt.upfront_cost + 0.1
+        assert out.developer_profit == ppt.developer_profit - 0.1
+        assert out.platform_profit == ppt.platform_profit + 0.1
 
 
 class TestEvaluateModel:
@@ -140,7 +187,7 @@ class TestFeeRowSearch:
                   FreemiumModel(free_quota=0.5, overage_price=0.2),
                   MarketplaceModel(commission=0.15, token_price=0.2)]
         for model in models:
-            m = getattr(model, "commission", 0.0)
+            m = model.policy.rate
             want = ((1 - m) * 1e6 - 0.2) / 1e-6
             out = evaluate_model(profile, model, platform_cost=0.0)
             assert out.effort == pytest.approx(want, rel=1e-8), model.tag
@@ -164,7 +211,7 @@ class TestFeeRowSearch:
 def fee_terms(profile, model, e):
     """The fee row's developer objective at effort e, written out from the
     fee point, and the largest of its terms, the scale of its rounding."""
-    policy, t, quota, _ = fee_schedule(model)
+    policy, t, quota = model.policy, model.price, model.quota
     _, r, q = reduced(profile.tech, e)
     upfront, phi = t * (q - quota if q > quota else 0.0), effort_cost(profile.cost, e)
     return (1.0 - policy.rate) * r - upfront - phi, max(r, upfront, phi)
@@ -251,7 +298,7 @@ class TestUsageLinkedFeeRows:
     @settings(max_examples=300, deadline=None)
     def test_no_worse_than_the_search(self, model, family, cost_family, kappa,
                                       a, u, d, k, scale, beta, exponent):
-        policy, t, quota, _ = fee_schedule(model)
+        policy, t, quota = model.policy, model.price, model.quota
         if family == "linear_demand" and cost_family == "quadratic":
             # the top band's rate must bound the profit, with a margin
             assume((1 - min(1.0, policy.rate + t * kappa)) * u * u < 0.99)
@@ -300,7 +347,7 @@ class TestAccountingIdentity:
         assert abs(out.developer_profit + out.platform_profit - joint) <= 1e-9 * size
         assert out.upfront_cost >= 0.0
 
-    @given(model=fee_models.filter(lambda m: not isinstance(m, RsiModel)),
+    @given(model=fee_models.filter(lambda m: m.tag != "rsi"),
            family=st.sampled_from(["linear", "power", "linear_demand"]),
            ad=st.floats(0.0, 10.0), c=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -325,16 +372,16 @@ def evaluate_objective(profile, model, e):
     r = revenue(profile.tech, e)
     q = e
     phi = effort_cost(profile.cost, e)
-    if isinstance(model, RsiModel):
+    if model.tag == "rsi":
         return r - model.policy.commission(r) - phi
-    if isinstance(model, PayPerTokenModel):
-        return r - model.token_price * q - phi
-    if isinstance(model, SubscriptionModel):
+    if model.tag == "pay_per_token":
+        return r - model.price * q - phi
+    if model.tag == "subscription":
         return r - phi - model.fee
-    if isinstance(model, FreemiumModel):
-        return r - model.overage_price * max(0.0, q - model.free_quota) - phi
-    if isinstance(model, MarketplaceModel):
-        return (1 - model.commission) * r - model.token_price * q - phi
+    if model.tag == "freemium":
+        return r - model.price * max(0.0, q - model.quota) - phi
+    if model.tag == "marketplace":
+        return (1 - model.policy.rate) * r - model.price * q - phi
 
 
 class TestComparisonTable:
