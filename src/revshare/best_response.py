@@ -85,16 +85,17 @@ def foc_residual(profile: DeveloperProfile, alpha: float, effort: float) -> floa
     return retained * rprime - marginal_effort_cost(profile.cost, effort)
 
 
-def closed_form(alpha, scale: float, beta: float, kappa: Optional[float],
+def closed_form(retained, scale: float, beta: float, kappa: Optional[float],
                 k: float, m: float, pw=pow) -> tuple:
-    """(effort, gross revenue, usage, net profit) at flat rate alpha for
-    R = A*e^beta, usage kappa*R (e if kappa is None) and phi = k*e^m/m; alpha
-    a float, or a float64 row of rates with ``pw=participation.row_pow``. The
+    """(effort, gross revenue, usage, net profit) at retained share 1-alpha
+    for R = A*e^beta, usage kappa*R (e if kappa is None) and phi = k*e^m/m;
+    retained a float, or a float64 row with ``pw=participation.row_pow``. The
     one statement of the power-law closed forms, (1-alpha)*A*beta*e^(beta-1)
     = k*e^(m-1), agreeing bit for bit with ``reduced`` and ``effort_cost``:
-    e^2 is ``e * e``, other powers ``pw``."""
-    retained = 1.0 - alpha
-    e = pw(retained * scale * beta / k, 1.0 / (m - beta))
+    e^2 is ``e * e``, other powers ``pw``; times beta = 1 is skipped, as
+    ``x * 1.0`` is x."""
+    marginal = retained * scale if beta == 1 else retained * scale * beta
+    e = pw(marginal / k, 1.0 / (m - beta))
     gross = scale * pw(e, beta)
     phi = k * (e * e if m == 2 else pw(e, m)) / m
     return e, gross, e if kappa is None else kappa * gross, retained * gross - phi
@@ -137,8 +138,8 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
     tech, cost = profile.tech, profile.cost
     try:
         if not force_numeric and tech.family != LINEAR_DEMAND:
-            e = closed_form(alpha, tech.scale, tech.beta, tech.usage_per_revenue,
-                            cost.k, cost.exponent)[0]
+            e = closed_form(retained, tech.scale, tech.beta,
+                            tech.usage_per_revenue, cost.k, cost.exponent)[0]
             return _package(profile, alpha, e, ANALYTIC)
         b, a = tech.demand_quality, tech.demand_base
         if not force_numeric and cost.exponent == 2:

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
@@ -338,9 +338,8 @@ def _run_solve(cfg: ExperimentConfig):
     report = optimize_alpha(params, grid_step=cfg.resolved("grid_step"))
     summary = (f"alpha*={report.alpha_star:.6f} "
                f"profit={report.platform_profit:.6f} N={report.n_entrants}")
-    out = asdict(report)
-    out["per_developer"] = [{"id": i, **br} for i, br in out["per_developer"]]
-    return summary, out
+    return summary, {**vars(report), "per_developer": [
+        {"id": i, **vars(br)} for i, br in report.per_developer]}
 
 
 def _run_sweep(cfg: ExperimentConfig):
@@ -425,7 +424,7 @@ def _run_pool(cfg: ExperimentConfig):
     cv = report.coefficient_of_variation
     summary = (f"mean={report.mean_profit:.6f} p5={report.p5_profit:.6f} "
                f"cv={'none' if cv is None else f'{cv:.6f}'}")
-    return summary, asdict(report)
+    return summary, vars(report)
 
 
 RUNNERS = {

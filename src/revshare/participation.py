@@ -56,12 +56,16 @@ def entrant_profit(ad_revenue: float, gross: float, usage: float,
     is below ``policy.activity_threshold``, plus ``ad_share * ad_revenue``,
     minus the serving cost ``marginal_cost * usage``. A given ``alpha`` is
     the flat rate charged in place of the policy's own. ``gross``, ``usage``
-    and ``alpha`` may also be float64 rows, one cell per rate."""
-    charged = usage >= policy.activity_threshold  # below it: cost absorbed
-    commission = (policy.commission(gross) if alpha is None
-                  else alpha * gross) * charged  # times False is +0.0
-    return (commission + policy.ad_share * ad_revenue
-            - marginal_cost * usage)
+    and ``alpha`` may also be float64 rows, one cell per rate. Steps that
+    leave every bit the same are skipped: the mask at threshold 0 (usage is
+    never below 0, and a NaN usage has a NaN commission) and a +0.0 ad term
+    (it changes only a -0.0 commission, which every total adds to +0.0)."""
+    commission = policy.commission(gross) if alpha is None else alpha * gross
+    if policy.activity_threshold > 0:  # below it: cost absorbed
+        commission = commission * (usage >= policy.activity_threshold)
+    if ad := policy.ad_share * ad_revenue:
+        commission = commission + ad
+    return commission - marginal_cost * usage
 
 
 def _checked(population: Sequence[DeveloperProfile], alpha: float,
@@ -185,6 +189,7 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
         for a in alpha_grid[1:]:
             require_rate(a)
     alphas = np.array(alpha_grid, dtype=float)
+    retained = 1.0 - alphas
     for errors in ("raise", "ignore"):
         profits, surplus, counts = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
         try:
@@ -196,8 +201,8 @@ def sweep(population: Sequence[DeveloperProfile], alpha_grid: Sequence[float],
                         gross, q, net = np.array([(br.gross_revenue, br.usage,
                                                    br.net_profit) for br in cells]).T
                     else:
-                        gross, q, net = closed_form(alphas, scale, beta, kappa,
-                                                    k, m, row_pow)[1:]
+                        gross, q, net = closed_form(retained, scale, beta,
+                                                    kappa, k, m, row_pow)[1:]
                     pi = developer_profit(ad, net, policy)
                     enter = pi >= pi0
                     platform = entrant_profit(ad, gross, q, policy, marginal_cost, alphas)

@@ -191,13 +191,39 @@ class TestResponder:
             tech, cost = profile.tech, profile.cost
             for alpha in (0.0, 0.1, 0.37, 0.5, 0.999, 1.0):
                 e, gross, q, net = closed_form(
-                    alpha, tech.scale, tech.beta, tech.usage_per_revenue,
-                    cost.k, cost.exponent)
+                    1.0 - alpha, tech.scale, tech.beta,
+                    tech.usage_per_revenue, cost.k, cost.exponent)
                 _, want_gross, want_q = reduced(profile.tech, e)
                 want_net = (1.0 - alpha) * want_gross - effort_cost(
                     profile.cost, e)
                 assert (gross, q, net) == (want_gross, want_q, want_net)
                 assert math.copysign(1, net) == math.copysign(1, want_net)
+
+    @pytest.mark.parametrize("beta,kappa,cost", [
+        (1.0, None, EffortCost(k=1.3)), (1.0, 0.7, EffortCost(k=0.6)),
+        (1.0, None, EffortCost("power_convex", k=1.7, exponent=3.2)),
+        (0.45, 0.7, EffortCost("power_convex", k=1.1, exponent=2.7))])
+    def test_skipped_beta_matches_the_full_formula(self, beta, kappa, cost):
+        # closed_form multiplies by beta only when beta != 1
+        def full_closed_form(retained, scale, beta, kappa, k, m, pw=pow):
+            e = pw(retained * scale * beta / k, 1.0 / (m - beta))
+            gross = scale * pw(e, beta)
+            phi = k * (e * e if m == 2 else pw(e, m)) / m
+            return (e, gross, e if kappa is None else kappa * gross,
+                    retained * gross - phi)
+
+        alphas = [0.0, -0.0, 1.0, *np.random.default_rng(2).random(6).tolist()]
+        retained = [1.0 - a for a in alphas]
+        for scale in (0.3, 1.0, 2.9):
+            params = (scale, beta, kappa, cost.k, cost.exponent)
+            cells = [closed_form(r, *params) for r in retained]
+            assert [list(map(float.hex, c)) for c in cells] == [
+                list(map(float.hex, full_closed_form(r, *params)))
+                for r in retained]
+            row = closed_form(np.array(retained), *params, row_pow)
+            want = full_closed_form(np.array(retained), *params, row_pow)
+            for got_row, want_row in zip(row, want):
+                assert got_row.tobytes() == want_row.tobytes()
 
     def test_row_pow_is_pythons_pow(self):
         # numpy's x ** 2 is x * x, 0.8079667078941465 here; libm rounds down
@@ -216,8 +242,8 @@ class TestResponder:
             tech = RevenueTechnology(family, scale=1.9, beta=beta,
                                      usage_per_revenue=kappa)
             params = (tech.scale, tech.beta, kappa, cost.k, cost.exponent)
-            rows = closed_form(np.array(alphas), *params, row_pow)
-            cells = list(zip(*(closed_form(a, *params) for a in alphas)))
+            rows = closed_form(1.0 - np.array(alphas), *params, row_pow)
+            cells = list(zip(*(closed_form(1.0 - a, *params) for a in alphas)))
             for row, column in zip(rows, cells):
                 assert list(map(float.hex, row.tolist())) == \
                     list(map(float.hex, column))

@@ -11,8 +11,9 @@ from revshare.model import (CommissionPolicy, DeveloperProfile, DomainError,
                             require_finite_nonneg)
 from revshare.montecarlo import PopulationSpec, generate_population
 from revshare.optimizer import platform_profit
-from revshare.participation import (MAX_POOL_CELLS, SweepResult, participate,
-                                    rate_grid, sweep)
+from revshare.participation import (MAX_POOL_CELLS, SweepResult,
+                                    entrant_profit, participate, rate_grid,
+                                    sweep)
 
 from conftest import (cubed_overflowing, overflowing, participation_counts,
                       random_profiles)
@@ -71,6 +72,68 @@ class TestParticipate:
                          lambda: platform_profit(params, policy, alpha=0.3)):
             with pytest.raises(DomainError, match="degressive policy"):
                 evaluate()
+
+
+def full_entrant_profit(alpha, gross, usage, ad_share, ad, threshold, cost):
+    """entrant_profit's formula with every step taken, mask and ad term too."""
+    return (alpha * gross) * (usage >= threshold) + ad_share * ad - cost * usage
+
+
+def same_bits(got, want, rate=1.0):
+    """Bit for bit (NaNs alike). At rate -0.0 a skipped +0.0 ad term may leave
+    -0.0 where the full formula has +0.0; every total starts at +0.0 and
+    erases that sign, so there both are compared as added to +0.0."""
+    got, want = np.atleast_1d(got).tolist(), np.atleast_1d(want).tolist()
+    if math.copysign(1.0, rate) < 0:
+        got, want = [0.0 + x for x in got], [0.0 + x for x in want]
+    return list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+class TestEntrantProfitShortcuts:
+    """entrant_profit skips the activity mask at threshold 0 and a zero ad
+    term; each cell must match the formula that takes every step."""
+
+    rates = [0.0, -0.0, 1.0, *np.random.default_rng(5).random(4).tolist()]
+    # usage 0, below and above 0.3, infinite (0 * inf is NaN), and a NaN
+    # usage with its NaN gross, as an overflowing row gives
+    gross = [0.0, 0.8, 2.5, 1.7, 3.0, math.nan]
+    usage = [0.0, 0.2, 0.9, 1.3, math.inf, math.nan]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    @pytest.mark.parametrize("ad_share,ad", [(0.0, 0.0), (0.0, 0.7),
+                                             (0.4, 0.0), (0.4, 0.7)])
+    @pytest.mark.parametrize("cost", [0.0, 0.2])
+    def test_float_and_row_match_the_full_formula(self, threshold, ad_share,
+                                                  ad, cost):
+        policy = CommissionPolicy.flat(0.5, ad_share, threshold)
+        gross, usage = np.array(self.gross), np.array(self.usage)
+        with np.errstate(invalid="ignore"):
+            for alpha in self.rates:
+                for g, u in zip(self.gross, self.usage):
+                    got = entrant_profit(ad, g, u, policy, cost, alpha)
+                    want = full_entrant_profit(alpha, g, u, ad_share, ad,
+                                               threshold, cost)
+                    assert type(got) is float
+                    assert same_bits(got, want, alpha), (alpha, g, u)
+                got = entrant_profit(ad, gross, usage, policy, cost,
+                                     np.full(len(gross), alpha))
+                want = full_entrant_profit(alpha, gross, usage, ad_share, ad,
+                                           threshold, cost)
+                assert same_bits(got, want, alpha), alpha
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    @pytest.mark.parametrize("ad_share,ad", [(0.0, 0.7), (0.4, 0.0),
+                                             (0.4, 0.7)])
+    def test_the_policys_own_schedule(self, threshold, ad_share, ad):
+        policy = CommissionPolicy.degressive([(0.0, 0.3), (1.0, 0.1)],
+                                             ad_share, threshold)
+        for g, u in zip(self.gross[:-1], self.usage[:-1]):
+            for cost in (0.0, 0.2):
+                with np.errstate(invalid="ignore"):
+                    want = policy.commission(g) * (u >= threshold) + \
+                        ad_share * ad - cost * u
+                assert same_bits(entrant_profit(ad, g, u, policy, cost),
+                                 want)
 
 
 class TestParticipationCurve:
@@ -274,6 +337,28 @@ class TestSweepMatchesScalarReference:
         fast = outcome(sweep)
         assert fast.startswith("DomainError: ")
         assert fast == outcome(reference_sweep)
+
+    @pytest.mark.parametrize("policy", [
+        None, CommissionPolicy.flat(0.5, ad_share=0.3),
+        CommissionPolicy.flat(0.5, activity_threshold=0.2)])
+    @pytest.mark.parametrize("cost", [0.0, 0.05])
+    def test_grid_from_negative_zero(self, policy, cost):
+        # at rate -0.0 an entrant with no ad term and no serving cost yields
+        # -0.0; each per-rate total starts at +0.0 and stays +0.0
+        pop = random_profiles(6, seed=9, reservation_hi=0.1) + [
+            DeveloperProfile(id="y", tech=RevenueTechnology(
+                "power", scale=1.4, beta=0.6, usage_per_revenue=0.8),
+                cost=EffortCost(k=1.1), ad_revenue=0.3),
+            DeveloperProfile(id="z", tech=RevenueTechnology(
+                "linear_demand", demand_base=0.6, demand_quality=0.4,
+                usage_per_revenue=0.5), cost=EffortCost(k=1.2))]
+        grid = [-0.0, 0.0, 0.25, 0.5, 1.0]
+        fast = sweep(pop, grid, cost, policy)
+        assert repr(fast) == repr(reference_sweep(pop, grid, cost, policy))
+        for name in ("platform_profits", "entrant_counts",
+                     "mean_developer_profits", "total_developer_surplus"):
+            at_minus_zero, at_zero = getattr(fast, name)[:2]
+            assert repr(at_minus_zero) == repr(at_zero), name
 
 
 class TestSweepOverPopulation:
