@@ -156,7 +156,7 @@ def solve_effort(profile: DeveloperProfile, alpha: float,
         # past this effort the profit falls even when they keep everything
         hi = expand_upper_bound(_reduced_profit(profile, 1.0))
         f = _reduced_profit(profile, retained)
-        e = golden_section_max(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
+        e = golden_section_max(f, 0.0, hi)
         return _package(profile, alpha, e, NUMERIC)
     except OverflowError:  # a power out of range, which ** raises
         raise overflow_error(profile, alpha) from None

@@ -289,17 +289,20 @@ def _write_atomic(path: str, text: str) -> None:
     """Write text to a temp file beside the path a link resolves to, then
     replace that path: a link is written through and stays a link. The temp
     file gets open()'s mode, 0666 less the umask, which the kernel applies."""
-    path = os.path.realpath(_resolve_output(path))
-    tmp = os.path.join(os.path.dirname(path), f".revshare-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    real = os.path.realpath(_resolve_output(path))
+    tmp = os.path.join(os.path.dirname(real), f".revshare-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, real)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _json_text(payload) -> str:
@@ -444,19 +447,15 @@ def _usage_error(issues: List[str]) -> int:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute a validated experiment; returns a process exit status."""
+    """Execute an experiment that validate() accepts; returns a process exit
+    status. A DomainError propagates: main() prints it as a JSON record."""
     issues = validate(cfg)
     if issues:
         return _usage_error(issues)
-    try:
-        summary, report = RUNNERS[cfg.command](cfg)
-        if cfg.output:
-            _write_atomic(cfg.output, report if isinstance(report, str)
-                          else _json_text(report))
-    except DomainError as exc:
-        print(json.dumps({"error": str(exc), "module": cfg.command}),
-              file=sys.stderr)
-        return 1
+    summary, report = RUNNERS[cfg.command](cfg)
+    if cfg.output:
+        _write_atomic(cfg.output, report if isinstance(report, str)
+                      else _json_text(report))
     print(summary)
     return 0
 
@@ -532,14 +531,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = config_from_args(args)
     except DomainError as exc:
         return _usage_error([str(exc)])
-    if args.dump_config:  # only a config that validate() accepts
-        issues = validate(cfg) + _output_issues(args.dump_config)
-        if issues:
-            return _usage_error(issues)
-        _write_atomic(args.dump_config, dump_config(cfg))
-        print(f"wrote {args.dump_config}")
-        return 0
-    return run(cfg)
+    try:
+        if args.dump_config:  # only a config that validate() accepts
+            issues = validate(cfg) + _output_issues(args.dump_config)
+            if issues:
+                return _usage_error(issues)
+            _write_atomic(args.dump_config, dump_config(cfg))
+            print(f"wrote {args.dump_config}")
+            return 0
+        return run(cfg)
+    except DomainError as exc:
+        print(json.dumps({"error": str(exc), "module": cfg.command}),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -103,7 +103,7 @@ def evaluate_model(profile: DeveloperProfile, model: BusinessModel,
         kappa = tech.usage_per_revenue
         if kappa is None:  # q = e: a fee on effort, searched
             hi = expand_upper_bound(objective)
-            e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+            e = grid_then_golden(objective, 0.0, hi)
         else:  # q = kappa*R: the fee is a rate m + t*kappa on R past Q/kappa
             e = solve_effort_policy(profile, fee_policy(m, t, quota, kappa)).effort
         if objective(0.0) >= objective(e):

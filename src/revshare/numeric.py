@@ -9,6 +9,7 @@ from .model import DomainError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _MAX_ITER = 200   # golden-section steps; 0.618**200 is below 1e-41
+_REL_TOL = 1e-12  # golden section's last bracket, relative to its larger end
 _N_COARSE = 512   # grid cells scanned before the golden-section polish
 # largest upper bound expand_upper_bound returns: above twice the largest
 # effort a CLI run reaches, A/k = 1e6/1e-6
@@ -19,15 +20,14 @@ class NonConvergenceError(DomainError):
     """An unbounded developer problem, or no optimum found below SEARCH_CAP."""
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-10) -> float:
-    """Maximize a unimodal f on [lo, hi]; returns the argmax to within tol."""
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Maximize a unimodal f on [lo, hi]: the argmax to _REL_TOL relative."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(_MAX_ITER):
-        if b - a <= tol:
+        if b - a <= _REL_TOL * max(abs(a), abs(b)):
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -43,10 +43,8 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return best[1]
 
 
-def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
-                     tol: float = 1e-10) -> float:
-    """Robust maximizer for piecewise-concave objectives: coarse grid scan
-    for the global bracket, golden-section polish inside it."""
+def grid_then_golden(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Piecewise-concave f: golden section in the best cell of a coarse grid."""
     step = (hi - lo) / _N_COARSE
     best_i, best_v = 0, f(lo)
     for i in range(1, _N_COARSE + 1):
@@ -55,7 +53,7 @@ def grid_then_golden(f: Callable[[float], float], lo: float, hi: float,
             best_i, best_v = i, v
     a = max(lo, lo + (best_i - 1) * step)
     b = min(hi, lo + (best_i + 1) * step)
-    return golden_section_max(f, a, b, tol=tol)
+    return golden_section_max(f, a, b)
 
 
 def expand_upper_bound(f: Callable[[float], float]) -> float:

@@ -212,11 +212,13 @@ def _parse_rows(rows) -> Tuple[Ledger, List[bool]]:
 
 
 def read_ledger(path) -> Tuple[Ledger, List[bool]]:
-    """Parse a UTF-8 ledger file (a leading BOM is skipped); a line that is
-    not UTF-8 is a DomainError."""
+    """Parse a UTF-8 ledger file (a leading BOM is skipped); an unreadable
+    file or a line that is not UTF-8 is a DomainError."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return parse_ledger(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:  # raised per chunk: find the line
         with open(path, "rb") as fh:
             for number, line in enumerate(fh, 1):

@@ -106,6 +106,21 @@ class TestSolveEffort:
         assert br.effort == pytest.approx(e_grid, abs=1e-5)
         assert br.net_profit >= pi_grid - 1e-12
 
+    def test_optimum_below_the_old_absolute_tolerance(self):
+        # b^2*e^2/4 - e^3/3 peaks at e = b^2/2 = 1e-12 with profit b^6/48;
+        # a search that stops at 1e-12*hi gave e = 7.56e-13 there
+        b = math.sqrt(2.0) * 1e-6
+        profile = DeveloperProfile(
+            id="d",
+            tech=RevenueTechnology(family="linear_demand", demand_base=0.0,
+                                   demand_quality=b, demand_slope=1.0,
+                                   usage_per_revenue=1.0),
+            cost=EffortCost(family="power_convex", k=1.0, exponent=3.0))
+        br = solve_effort(profile, 0.0)
+        assert br.method == "numeric"
+        assert br.effort == pytest.approx(1e-12, rel=1e-9, abs=0.0)
+        assert br.net_profit == pytest.approx(b ** 6 / 48, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("base", [0.0, 1e-9])
     def test_convex_demand_unbounded(self, base):
         # 0.9*(base + 2e)^2/4 - e^2/2 grows without bound

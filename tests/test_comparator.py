@@ -224,7 +224,7 @@ def searched_effort(profile, model):
         return fee_terms(profile, model, e)[0]
 
     hi = expand_upper_bound(objective)
-    e = grid_then_golden(objective, 0.0, hi, tol=1e-12 * max(1.0, hi))
+    e = grid_then_golden(objective, 0.0, hi)
     return 0.0 if objective(0.0) >= objective(e) else e
 
 
