@@ -7,8 +7,7 @@ mutant is caught when tier-1 fails. The runner exits 1 when a mutant
 survives, when a mutant's old text does not occur exactly once, or when the
 unmutated copy does not pass; it never writes into the working tree.
 
-    python mutants/run.py            # every mutant
-    python mutants/run.py NAME ...   # the named ones
+    python mutants/run.py
 """
 
 from __future__ import annotations
@@ -83,15 +82,10 @@ def run(mutant, scratch: str) -> str:
     return "" if status != 0 else "survived"
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="revshare-mutants-") as scratch:
-        for mutant in [None] + chosen:
+        for mutant in [None] + MUTANTS:
             start = time.perf_counter()
             problem = run(mutant, scratch)
             verdict = problem or ("caught" if mutant else "passes")
@@ -104,4 +98,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
